@@ -71,11 +71,23 @@ type t = {
 
 let algorithm t = t.algorithm
 
-let resolve t =
-  match t.algorithm with
-  | Auto ->
-    if Program.nonrecursive (Database.program t.db) then Counting else Dred
+(** [Auto] resolved against a database: counting when its program is
+    nonrecursive, DRed otherwise.  Rule changes resolve against the
+    database being maintained, whose program may differ from [t.db]'s. *)
+let resolve_in algorithm db =
+  match algorithm with
+  | Auto -> if Program.nonrecursive (Database.program db) then Counting else Dred
   | a -> a
+
+let resolve t = resolve_in t.algorithm t.db
+
+(** Materialize every view from the base relations the way a resolved
+    algorithm keeps them: full derivation counts through recursion for
+    recursive counting, the semi-naive evaluation otherwise. *)
+let materialize algorithm db =
+  match algorithm with
+  | Recursive_counting -> Recursive_counting.evaluate db
+  | Counting | Dred | Recompute | Auto -> Seminaive.evaluate db
 
 (** Re-evaluate everything from scratch after applying the base changes —
     the baseline. *)
@@ -327,9 +339,7 @@ let create ?(semantics = Database.Set_semantics) ?(algorithm = Auto)
         state_version = Atomic.make 0;
       }
     in
-    (match resolve t with
-    | Recursive_counting -> Recursive_counting.evaluate db
-    | Counting | Dred | Recompute | Auto -> Seminaive.evaluate db);
+    materialize (resolve t) db;
     (match durable with Some dir -> make_durable t ~dir | None -> ());
     t
 
@@ -392,17 +402,9 @@ let update t pred ~old_tuple ~new_tuple =
 
 let maintainer t : Rule_changes.maintainer =
  fun db changes ->
-  (* resolve [Auto] against the database being maintained, not [t.db]:
-     during a rule change the maintainer runs on the rebuilt database
-     (whose program may have just turned recursive, or stopped being so)
+  (* during a rule change the maintainer runs on the rebuilt database
      while [t.db] still holds the old one *)
-  let resolved =
-    match t.algorithm with
-    | Auto ->
-      if Program.nonrecursive (Database.program db) then Counting else Dred
-    | a -> a
-  in
-  match resolved with
+  match resolve_in t.algorithm db with
   | Counting -> ignore (Counting.maintain db changes)
   | Dred -> ignore (Dred.maintain db changes)
   | Recursive_counting -> ignore (Recursive_counting.maintain db changes)
@@ -452,10 +454,7 @@ let counted_algorithm = function
 let rederive_if_counts_went_live (t : t) ~prev : unit =
   let now = resolve t in
   if counted_algorithm now && not (counted_algorithm prev) then
-    Ivm_prov.Prov.with_suspended (fun () ->
-        match now with
-        | Recursive_counting -> Recursive_counting.evaluate t.db
-        | Counting | Dred | Recompute | Auto -> Seminaive.evaluate t.db)
+    Ivm_prov.Prov.with_suspended (fun () -> materialize now t.db)
 
 (** Add a rule to the program, incrementally maintaining all views
     (Section 7, view redefinition). *)
@@ -502,25 +501,14 @@ let remove_rule_text (t : t) (src : string) : unit =
 let set_algorithm (t : t) (algorithm : algorithm) : unit =
   if algorithm <> t.algorithm then begin
     let prev = resolve t in
-    let target =
-      match algorithm with
-      | Auto -> if Program.nonrecursive (program t) then Counting else Dred
-      | a -> a
-    in
+    let target = resolve_in algorithm t.db in
     if target = Counting && not (Program.nonrecursive (program t)) then
       invalid_arg
         "View_manager.set_algorithm: counting maintains nonrecursive \
          programs only (use dred, recursive-counting or recompute)";
     t.algorithm <- algorithm;
-    let counted = function
-      | Counting | Recursive_counting -> true
-      | Dred | Recompute | Auto -> false
-    in
-    if counted target && target <> prev then begin
-      Ivm_prov.Prov.with_suspended (fun () ->
-          match target with
-          | Recursive_counting -> Recursive_counting.evaluate t.db
-          | Counting | Dred | Recompute | Auto -> Seminaive.evaluate t.db);
+    if counted_algorithm target && target <> prev then begin
+      Ivm_prov.Prov.with_suspended (fun () -> materialize target t.db);
       if t.incremental_aggregates then register_agg_indexes t;
       refresh_provenance t ~reason:"algorithm-switch"
     end;
@@ -533,15 +521,9 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
 let audit (t : t) : (unit, string) result =
   let fresh = Database.copy t.db in
   (* The audit copy's evaluation must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      match resolve t with
-      | Recursive_counting -> Recursive_counting.evaluate fresh
-      | Counting | Dred | Recompute | Auto -> Seminaive.evaluate fresh);
-  let compare_counts =
-    match resolve t with
-    | Counting | Recursive_counting -> true
-    | Dred | Recompute | Auto -> false
-  in
+  let resolved = resolve t in
+  Ivm_prov.Prov.with_suspended (fun () -> materialize resolved fresh);
+  let compare_counts = counted_algorithm resolved in
   let bad =
     List.filter_map
       (fun p ->

@@ -1,19 +1,18 @@
-(** Evaluation-side conventions for parallel delta fan-out.
-
-    The maintenance algorithms package each phase as an array of thunks
-    for {!Ivm_par.parallel_map}.  Thunks follow a strict discipline:
+(** Evaluation-side conventions for parallel delta fan-out, used by the
+    round engine ({!Rounds}) — the one caller of {!Ivm_par.parallel_map}
+    in evaluation and maintenance.  Its tasks follow a strict discipline:
 
     - {b read} shared state only — stored relations, overlays, and the
-      maintenance caches, all pre-populated by a sequential prepare step
-      (first touch of a lazy cache must never happen inside a thunk);
-    - {b write} thunk-private relations only; the caller ⊎-merges them
-      sequentially in task order ({!merge}).
+      maintenance caches, all forced sequentially before the fan-out
+      (first touch of a lazy cache must never happen inside a task);
+    - {b write} task-private relations only; the engine absorbs them
+      sequentially in task order.
 
     Since a batch often has fewer delta rules than domains, seed deltas
     are additionally {!split} into chunks by tuple hash.  The partition
     is deterministic for a given chunk count, but the chunk count tracks
     the configured domain count ({!chunks_hint}) — so the task list, and
-    with it the merge order, is fixed only per configuration, never by
+    with it the absorb order, is fixed only per configuration, never by
     scheduling.  Identical final states across {e different} domain
     counts rest on [⊎] alone: counts sum per tuple (commutative,
     associative), so the merged content does not depend on how the seeds
@@ -24,8 +23,9 @@ module Relation = Ivm_relation.Relation
 module Tuple = Ivm_relation.Tuple
 
 (** How many chunks to split a seed delta into: twice the domain count,
-    so task stealing can balance skewed chunk costs. *)
-let chunks_hint () = 2 * Ivm_par.domains ()
+    so task stealing can balance skewed chunk costs — and 1 at one
+    domain, where splitting would only repeat each seed scan. *)
+let chunks_hint () = match Ivm_par.domains () with 1 -> 1 | d -> 2 * d
 
 (** Deterministically partition [r] into at most [chunks] disjoint parts
     by tuple hash (counts preserved).  Returns [[| r |]] unchanged when

@@ -56,19 +56,22 @@ let make_inputs ~(resolve : string -> Relation_view.t)
     Rule_eval.Enumerate (Relation_view.concrete t, Rule_eval.identity_count)
   | Ccmp _ -> assert false
 
-(** Force the grouped-relation cache entries rule [cr] will read under
-    [inputs], in body-literal order — the same first-touch order the
-    evaluator itself would use.  Parallel fan-out calls this while
-    building the task list so no worker thunk ever writes the cache. *)
-let prepare_agg_inputs (cr : Compile.t) (inputs : int -> Rule_eval.subgoal_input) =
-  Array.iteri
-    (fun j lit -> match lit with Cagg _ -> ignore (inputs j) | _ -> ())
-    cr.clits
+(* One full evaluation of each rule of [pred] against the stored
+   relations. *)
+let stored_seeds db ~cache pred =
+  List.map
+    (fun rule ->
+      let cr = Database.compile db rule in
+      let inputs =
+        make_inputs ~resolve:(Database.view db) ~mult_for:(Database.mult_for db) ~cache
+          ~version:"cur" cr
+      in
+      { Rounds.rule = cr; at = None; inputs })
+    (Program.rules_for (Database.program db) pred)
 
 (** Evaluate all rules of one nonrecursive predicate against the current
-    database state; returns its full materialization.  Rule bodies fan
-    out across the domain pool (each into a private relation, ⊎-merged in
-    rule order); with one domain the tasks run inline in the same order. *)
+    database state; returns its full materialization.  The rules are one
+    round of full evaluations on the round engine. *)
 let eval_nonrecursive db ~cache pred =
   let program = Database.program db in
   let out = Relation.create (Program.arity program pred) in
@@ -78,27 +81,17 @@ let eval_nonrecursive db ~cache pred =
     ~args:(fun () ->
       [ ("pred", pred); ("tuples", string_of_int (Relation.cardinal out)) ])
     (fun () ->
-      let tasks =
-        List.map
-          (fun rule ->
-            let cr = Database.compile db rule in
-            let inputs =
-              make_inputs ~resolve:(Database.view db)
-                ~mult_for:(Database.mult_for db) ~cache ~version:"cur" cr
-            in
-            prepare_agg_inputs cr inputs;
-            fun () ->
-              let part = Relation.create (Program.arity program pred) in
-              Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add part tup c) cr;
-              part)
-          (Program.rules_for program pred)
-      in
-      Par_eval.merge ~into:out (Ivm_par.parallel_map (Array.of_list tasks)));
+      Rounds.run (stored_seeds db ~cache pred) ~absorb:(fun _ part ->
+          Relation.union_into ~into:out part));
   out
 
 (** Semi-naive fixpoint for one recursive unit (an SCC of mutually
     recursive predicates), set semantics.  Relations outside the unit are
-    read from the database (their strata are already materialized). *)
+    read from the database (their strata are already materialized).
+    Round 0 evaluates every rule against the (empty) unit totals; later
+    rounds are the delta rules of the unit's occurrences, positions
+    before the delta reading the new totals and positions after it the
+    previous totals (totals minus delta). *)
 let eval_recursive_unit db ~cache (unit_preds : string list) :
     (string * Relation.t) list =
   let program = Database.program db in
@@ -109,148 +102,58 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
             "predicate %s is recursive: duplicate (counting) semantics may \
              not terminate on recursive views (Section 8); use set semantics"
             (List.hd unit_preds)));
-  let in_unit p = List.mem p unit_preds in
   (* one context for the whole unit: its predicates share a stratum *)
   Ivm_obs.Attribution.set_context
     ~stratum:(Program.stratum program (List.hd unit_preds))
     ~phase:"fixpoint";
-  let totals : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  let deltas : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace totals p (Relation.create (Program.arity program p));
-      Hashtbl.replace deltas p (Relation.create (Program.arity program p)))
-    unit_preds;
-  let resolve_base p =
-    if in_unit p then Relation_view.concrete (Hashtbl.find totals p)
-    else Database.view db
-      p
+  let totals =
+    List.map (fun p -> (p, Relation.create (Program.arity program p))) unit_preds
   in
-  let mult = Rule_eval.set_count in
-  let mult_for _ = mult in
-  (* Round 0: all rules against current totals (empty for unit preds). *)
-  let candidates : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun p -> Hashtbl.replace candidates p (Relation.create (Program.arity program p)))
-    unit_preds;
-  List.iter
-    (fun p ->
-      let out = Hashtbl.find candidates p in
+  let old_totals = Hashtbl.create 4 in
+  let rules p = List.map (Database.compile db) (Program.rules_for program p) in
+  let inputs ~resolve cr =
+    make_inputs ~resolve ~mult_for:(fun _ -> Rule_eval.set_count) ~cache ~version:"cur" cr
+  in
+  let resolve ~before q =
+    match List.assoc_opt q totals with
+    | None -> Database.view db q
+    | Some total ->
+      if before then Relation_view.concrete total else Hashtbl.find old_totals q
+  in
+  Rounds.fixpoint db unit_preds ~rules
+    ~round0:
+      (List.concat_map
+         (fun p ->
+           List.map
+             (fun cr ->
+               let inputs = inputs ~resolve:(resolve ~before:true) cr in
+               { Rounds.rule = cr; at = None; inputs })
+             (rules p))
+         unit_preds)
+    ~inputs:(fun cr pos j -> inputs ~resolve:(resolve ~before:(j < pos)) cr j)
+    ~absorb:(fun p tup c ->
+      let total = List.assoc p totals in
+      if c > 0 && not (Relation.mem total tup) then begin
+        Relation.add total tup 1;
+        1
+      end
+      else 0)
+    ~on_round:(fun round pending ->
+      Metrics.inc rounds_c;
       List.iter
-        (fun rule ->
-          let cr = Database.compile db rule in
-          let inputs =
-            make_inputs ~resolve:resolve_base ~mult_for ~cache ~version:"cur" cr
-          in
-          Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add out tup c) cr)
-        (Program.rules_for program p))
-    unit_preds;
-  let absorb () =
-    (* Move genuinely new tuples from candidates into deltas and totals. *)
-    let changed = ref false in
-    List.iter
-      (fun p ->
-        let total = Hashtbl.find totals p in
-        let delta = Relation.create (Program.arity program p) in
-        Relation.iter
-          (fun tup c ->
-            if c > 0 && not (Relation.mem total tup) then begin
-              Relation.add delta tup 1;
-              Relation.add total tup 1;
-              changed := true
-            end)
-          (Hashtbl.find candidates p);
-        Metrics.observe delta_h (Relation.cardinal delta);
-        Hashtbl.replace deltas p delta;
-        Relation.clear (Hashtbl.find candidates p))
-      unit_preds;
-    !changed
-  in
-  let round = ref 0 in
-  let continue_ = ref (absorb ()) in
-  while !continue_ do
-    incr round;
-    Metrics.inc rounds_c;
-    Trace.instant "seminaive.round" ~args:(fun () ->
-        ( "round", string_of_int !round )
-        :: List.map
-             (fun p ->
-               (p, string_of_int (Relation.cardinal (Hashtbl.find deltas p))))
-             unit_preds);
-    (* Delta rules: one evaluation per occurrence of a unit predicate in a
-       body, with positions before the delta reading the new totals and
-       positions after reading the previous totals (totals minus delta).
-       Totals and deltas are frozen for the round, so every (occurrence ×
-       delta chunk) is an independent read-only task: they fan out across
-       the domain pool, each emitting into a private relation ⊎-merged
-       into the candidates in fixed task order (inline, same order, with
-       one domain). *)
-    let chunks = if Ivm_par.sequential () then 1 else Par_eval.chunks_hint () in
-    let tasks = ref [] in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile db rule in
-            Array.iteri
-              (fun i lit ->
-                match lit with
-                | Catom a when in_unit a.cpred ->
-                  let delta_rel = Hashtbl.find deltas a.cpred in
-                  if not (Relation.is_empty delta_rel) then begin
-                    let resolve_pos j q =
-                      if not (in_unit q) then Database.view db q
-                      else if j < i then Relation_view.concrete (Hashtbl.find totals q)
-                      else
-                        (* old totals = totals ⊎ (−delta) *)
-                        Relation_view.overlay (Hashtbl.find totals q)
-                          (Relation.negate (Hashtbl.find deltas q))
-                    in
-                    let inputs_with seed j =
-                      match cr.clits.(j) with
-                      | Catom _ when j = i ->
-                        Rule_eval.Enumerate
-                          (Relation_view.concrete seed, Rule_eval.set_count)
-                      | Catom b -> Rule_eval.Enumerate (resolve_pos j b.cpred, mult)
-                      | Cneg b -> Rule_eval.Filter_absent (resolve_pos j b.cpred)
-                      | Cagg (spec, _) ->
-                        let t =
-                          Agg_cache.grouped cache ~version:"cur" ~mult
-                            (resolve_pos j spec.gsource.cpred) spec
-                        in
-                        Rule_eval.Enumerate
-                          (Relation_view.concrete t, Rule_eval.identity_count)
-                      | Ccmp _ -> assert false
-                    in
-                    prepare_agg_inputs cr (inputs_with delta_rel);
-                    Array.iter
-                      (fun part ->
-                        tasks :=
-                          ( p,
-                            fun () ->
-                              let out =
-                                Relation.create (Program.arity program p)
-                              in
-                              Rule_eval.eval ~seed:i ~inputs:(inputs_with part)
-                                ~emit:(fun tup c -> Relation.add out tup c)
-                                cr;
-                              out )
-                          :: !tasks)
-                      (Par_eval.split delta_rel ~chunks)
-                  end
-                | _ -> ())
-              cr.clits)
-          (Program.rules_for program p))
-      unit_preds;
-    let tasks = Array.of_list (List.rev !tasks) in
-    let outs = Ivm_par.parallel_map (Array.map snd tasks) in
-    Array.iteri
-      (fun k part ->
-        Relation.union_into ~into:(Hashtbl.find candidates (fst tasks.(k))) part)
-      outs;
-    continue_ := absorb ()
-  done;
-  List.map (fun p -> (p, Hashtbl.find totals p)) unit_preds
+        (fun p -> Metrics.observe delta_h (Relation.cardinal (pending p)))
+        unit_preds;
+      Trace.instant "seminaive.round" ~args:(fun () ->
+          ("round", string_of_int round)
+          :: List.map
+               (fun p -> (p, string_of_int (Relation.cardinal (pending p))))
+               unit_preds);
+      List.iter
+        (fun (q, total) ->
+          Hashtbl.replace old_totals q
+            (Relation_view.overlay total (Relation.negate (pending q))))
+        totals);
+  totals
 
 (** Materialize every derived predicate of the database's program from its
     base relations (overwrites previous materializations). *)
@@ -286,18 +189,8 @@ let evaluate (db : Database.t) : unit =
 let replay_derivations (db : Database.t) : unit =
   if Ivm_prov.Prov.capturing () then begin
     Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
-    let program = Database.program db in
     let cache = Agg_cache.create () in
     List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile db rule in
-            let inputs =
-              make_inputs ~resolve:(Database.view db)
-                ~mult_for:(Database.mult_for db) ~cache ~version:"cur" cr
-            in
-            Rule_eval.eval ~inputs ~emit:(fun _ _ -> ()) cr)
-          (Program.rules_for program p))
-      (Program.derived_preds program)
+      (fun p -> Rounds.run (stored_seeds db ~cache p) ~absorb:(fun _ _ -> ()))
+      (Program.derived_preds (Database.program db))
   end

@@ -102,6 +102,7 @@ let cycle_diverges () =
    diverges. *)
 let insertion_creates_cycle () =
   let db = db_counted dag_source in
+  let before = Database.canonical_digest db in
   let raised = ref false in
   (try
      ignore
@@ -109,7 +110,9 @@ let insertion_creates_cycle () =
           (Changes.insertions (Database.program db) "link"
              [ Tuple.of_strs [ "d"; "a" ] ]))
    with Rc.Divergence _ -> raised := true);
-  Alcotest.(check bool) "divergence detected" true !raised
+  Alcotest.(check bool) "divergence detected" true !raised;
+  (* the single commit point never ran: stored state is untouched *)
+  Alcotest.(check string) "state unchanged" before (Database.canonical_digest db)
 
 (* Set semantics is rejected. *)
 let set_semantics_rejected () =
