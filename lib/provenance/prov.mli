@@ -6,8 +6,9 @@
     (rule, immediate subgoal tuples) pair, plus a per-tuple lineage of
     batch transitions (first derived / last deleted).  Capture is opt-in
     and process-global: the rule evaluator calls {!record} at every head
-    emission, and the commit loops of the maintenance algorithms call
-    {!on_transition} when a tuple's stored count crosses zero.
+    emission, and the maintenance commit ([Ivm.Delta.commit], shared by
+    every incremental algorithm) calls {!on_transition} when a tuple's
+    stored count crosses zero.
 
     {b Cost discipline.}  When capture is off, every hook reduces to one
     atomic load and a predictable branch — the hooks live in the hot path
