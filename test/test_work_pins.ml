@@ -156,6 +156,15 @@ let seminaive_stream () =
 let pinned name expected run =
   quick name (fun () -> Alcotest.check figures name expected (run ()))
 
+(* The [ivm_fixpoint_rounds_total{engine}] increment over a whole stream,
+   its initial materialization included. *)
+let pinned_rounds name engine expected run =
+  quick name (fun () ->
+      let c = Metrics.counter ~labels:[ ("engine", engine) ] "ivm_fixpoint_rounds_total" in
+      let before = Metrics.counter_value c in
+      ignore (run ());
+      Alcotest.(check int) name expected (Metrics.counter_value c - before))
+
 let suite =
   [
     pinned "counting, set semantics"
@@ -213,4 +222,7 @@ let suite =
         digest = "0de7ae94cb8a26ee06b05660fd20ada9";
       }
       seminaive_stream;
+    pinned_rounds "seminaive evaluate: fixpoint rounds" "seminaive" 3 seminaive_stream;
+    pinned_rounds "recursive counting: fixpoint rounds" "recursive-counting" 37
+      recursive_counting_stream;
   ]
