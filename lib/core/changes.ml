@@ -101,41 +101,24 @@ let normalize_base (db : Database.t) (t : t) : t =
 
 (* ---------------- net-change collectors ---------------- *)
 
-(* A collector accumulates the net stored-count changes a maintenance run
-   actually commits — base and derived predicates alike — as a change set.
-   The maintenance algorithms call [record] from their commit sites with
-   the per-tuple applied difference (new stored count − old), so the
-   collected set is exact by construction: replaying it with ⊎ onto any
-   count-identical database yields the post-maintenance database.  A run
-   that mutates stored state without per-tuple deltas (recomputation,
-   rederivation) marks the collector incomplete instead, and consumers
-   (the snapshot publisher) fall back to a full copy. *)
-type collector = {
-  net : (string, Relation.t) Hashtbl.t;
-  mutable incomplete : bool;
-}
+(* A collector accumulates, as a change set, the deltas maintenance
+   commits — base and derived predicates alike.  Every algorithm commits
+   through [Delta.maintain], and the view manager feeds each committed
+   delta here, so the collected set is exact by construction: replaying
+   it with ⊎ onto any count-identical database yields the
+   post-maintenance database. *)
+type collector = (string, Relation.t) Hashtbl.t
 
-let collector () = { net = Hashtbl.create 8; incomplete = false }
+let collector () : collector = Hashtbl.create 8
 
-let record col pred tup c =
-  if c <> 0 then begin
-    let r =
-      match Hashtbl.find_opt col.net pred with
-      | Some r -> r
-      | None ->
-        let r = Relation.create (Tuple.arity tup) in
-        Hashtbl.replace col.net pred r;
-        r
-    in
-    Relation.add r tup c
-  end
+let record (col : collector) pred delta =
+  match Hashtbl.find_opt col pred with
+  | Some r -> Relation.union_into ~into:r delta
+  | None -> Hashtbl.replace col pred (Relation.copy delta)
 
-let mark_incomplete col = col.incomplete <- true
-let is_complete col = not col.incomplete
-
-let collected col : t =
+let collected (col : collector) : t =
   Hashtbl.fold (fun p r acc -> if Relation.is_empty r then acc else (p, r) :: acc)
-    col.net []
+    col []
   |> List.sort (fun (p, _) (q, _) -> String.compare p q)
 
 let pp ppf (t : t) =

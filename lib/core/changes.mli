@@ -44,32 +44,22 @@ val normalize_base : Database.t -> t -> t
 
 (** {2 Net-change collectors}
 
-    A collector accumulates the net stored-count changes a maintenance run
-    actually commits — base {e and} derived predicates — as a change set.
-    Algorithms call {!record} from their commit sites with the per-tuple
-    applied difference (new stored count − old), making the collected set
+    A collector accumulates the deltas maintenance commits — base {e and}
+    derived predicates — as one change set.  The view manager feeds it
+    every delta [Delta.maintain] committed, which makes the collected set
     exact by construction: replaying it with [⊎] onto any count-identical
-    database reproduces the post-maintenance database.  A run that
-    rewrites stored state wholesale (recomputation, rederivation) calls
-    {!mark_incomplete}; consumers such as the snapshot publisher then fall
-    back to a full copy. *)
+    database reproduces the post-maintenance database. *)
 
 type collector
 
 val collector : unit -> collector
 
-(** [record col pred tup c] folds an applied count difference [c] into the
-    collector ([c = 0] is a no-op). *)
-val record : collector -> string -> Tuple.t -> int -> unit
-
-(** The run mutated stored state outside per-tuple recording; {!collected}
-    is no longer a faithful replay. *)
-val mark_incomplete : collector -> unit
-
-val is_complete : collector -> bool
+(** [record col pred delta] ⊎-folds one committed per-tuple count delta
+    of [pred] into the collector. *)
+val record : collector -> string -> Relation.t -> unit
 
 (** The accumulated net change set, sorted by predicate, empty deltas
-    dropped.  Only meaningful when {!is_complete}. *)
+    dropped. *)
 val collected : collector -> t
 
 val pp : Format.formatter -> t -> unit

@@ -51,13 +51,13 @@ type report = {
 
 let changed_views report = List.map fst report.view_deltas
 
-(** Apply [changes] (base-relation deltas) to [db], incrementally updating
-    every materialized view.  Returns what changed.
+(** The counting producer: Definition 4.1's delta rules for every view
+    that transitively depends on a changed base relation, stratum by
+    stratum.
     @raise Recursive_program when the program has recursive views — use
-    {!Dred} there (Section 7);
-    @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?record (db : Database.t) (changes : Changes.t) : report =
-  let program = Database.program db in
+    {!Dred} there (Section 7). *)
+let produce (ctx : Delta.ctx) : unit =
+  let program = Database.program ctx.Delta.db in
   (match
      List.find_opt (fun p -> Program.recursive program p) (Program.derived_preds program)
    with
@@ -73,26 +73,24 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
      exactly once (Definition 4.1's partition), so sign-driven support
      capture stays exact. *)
   if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
-  let normalized = Changes.normalize_base db changes in
+  let base = ctx.Delta.base in
   let affected =
     (* only views transitively depending on a changed base relation can
        change; the rest are not visited at all *)
-    Program.affected_views program ~changed:(List.map fst normalized)
+    Program.affected_views program ~changed:(List.map fst base)
   in
   Trace.span "counting.maintain"
     ~args:(fun () ->
       [
         ("affected_views", string_of_int (List.length affected));
-        ("base_tuples", string_of_int (Changes.total_tuples normalized));
+        ("base_tuples", string_of_int (Changes.total_tuples base));
       ])
     (fun () ->
-      let ctx = Delta.create db in
-      List.iter (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta) normalized;
       Log.debug (fun m ->
           m "maintaining %d affected views (of %d) against %d changed base tuples"
             (List.length affected)
             (List.length (Program.derived_preds program))
-            (Changes.total_tuples normalized));
+            (Changes.total_tuples base));
       List.iter
         (fun p ->
           if List.mem p affected then begin
@@ -116,17 +114,17 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
                   (Program.stratum program p) p (Relation.cardinal out)
                   (Relation.cardinal (Delta.propagated_delta ctx p)))
           end)
-        (Program.derived_in_stratum_order program);
-      let derived = Program.derived_preds program in
-      let collect table =
-        List.filter_map
-          (fun p ->
-            match Hashtbl.find_opt table p with
-            | Some r when not (Relation.is_empty r) -> Some (p, r)
-            | _ -> None)
-          derived
-      in
-      let view_deltas = collect ctx.Delta.full in
-      let propagated_deltas = collect ctx.Delta.propagated in
-      ignore (Delta.commit ?record ctx);
-      { base_deltas = normalized; view_deltas; propagated_deltas })
+        (Program.derived_in_stratum_order program))
+
+(** Apply [changes] (base-relation deltas) to [db], incrementally updating
+    every materialized view.  Returns what changed.
+    @raise Recursive_program when the program has recursive views;
+    @raise Changes.Invalid_changes on malformed change sets. *)
+let maintain (db : Database.t) (changes : Changes.t) : report =
+  let base = Changes.normalize_base db changes in
+  let ctx = Delta.maintain db base produce in
+  {
+    base_deltas = base;
+    view_deltas = Delta.derived_deltas ctx ctx.Delta.full;
+    propagated_deltas = Delta.derived_deltas ctx ctx.Delta.propagated;
+  }

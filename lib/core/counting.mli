@@ -34,16 +34,15 @@ type report = {
 (** Names of the views that changed. *)
 val changed_views : report -> string list
 
-(** Apply base-relation changes to [db], incrementally updating every
-    materialized view; commits to the stored relations and returns what
-    changed.  [?record pred tup c] observes every applied per-tuple
-    stored-count difference at commit time (the snapshot publisher's
-    net-change feed).
-    @raise Recursive_program when the program has recursive views — use
-    {!Dred} (Section 7);
+(** The counting producer ({!Delta.maintain}): Definition 4.1's delta
+    rules for every view depending on a changed base relation, stratum by
+    stratum.  @raise Recursive_program when the program has recursive
+    views — use {!Dred} (Section 7). *)
+val produce : Delta.ctx -> unit
+
+(** Normalize base-relation changes and run {!produce} through
+    {!Delta.maintain}: commits to the stored relations and returns what
+    changed.
+    @raise Recursive_program when the program has recursive views;
     @raise Changes.Invalid_changes on malformed change sets. *)
-val maintain :
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
-  Database.t ->
-  Changes.t ->
-  report
+val maintain : Database.t -> Changes.t -> report

@@ -10,7 +10,10 @@
     - {!agg_delta} caches Algorithm 6.1's [Δ(T)] per GROUPBY spec;
     - {!seeds} are the delta rules of Definition 4.1, evaluated by the
       round engine ({!Ivm_eval.Rounds});
-    - {!commit} is the only place stored counts change. *)
+    - {!maintain} is the one entry point every algorithm runs through:
+      it installs the base deltas, lets the algorithm's producer fill in
+      the derived deltas, and ends in {!commit} — the only place stored
+      counts change. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -27,6 +30,8 @@ type version = Old | New
 
 type ctx = {
   db : Database.t;
+  base : (string * Relation.t) list;
+      (** the normalized base deltas this batch was entered with *)
   full : (string, Relation.t) Hashtbl.t;
       (** per predicate: the count delta accumulated this maintenance round
           (base deltas at entry, derived deltas as they are computed) *)
@@ -38,16 +43,6 @@ type ctx = {
   agg_deltas : (string, Relation.t) Hashtbl.t;  (** Algorithm 6.1 cache *)
   grouped : (string, Relation.t) Hashtbl.t;  (** old/new grouped relations *)
 }
-
-let create (db : Database.t) : ctx =
-  {
-    db;
-    full = Hashtbl.create 16;
-    propagated = Hashtbl.create 16;
-    neg_deltas = Hashtbl.create 8;
-    agg_deltas = Hashtbl.create 8;
-    grouped = Hashtbl.create 8;
-  }
 
 let empty_rel ctx pred =
   Relation.create (Program.arity (Database.program ctx.db) pred)
@@ -206,43 +201,70 @@ let derive ctx p =
   set_delta ctx p ~full:out;
   out
 
-(** Commit all accumulated full deltas into the stored relations.  Returns
-    the sorted non-empty (pred, full delta) list.  [?record] observes
-    every applied per-tuple difference (exactly [c], since this commit
-    refuses to clamp) — the snapshot publisher's net-change feed.
+(** Commit all accumulated full deltas into the stored relations.
     @raise Invalid_argument if a committed count would go negative — the
-    caller violated Lemma 4.1's precondition. *)
-let commit ?record ctx : (string * Relation.t) list =
-  let applied = ref [] in
+    producer violated Lemma 4.1's precondition. *)
+let commit ctx =
   let cap = Ivm_prov.Prov.capturing () in
   Hashtbl.iter
     (fun pred delta ->
-      if not (Relation.is_empty delta) then begin
-        let stored = Database.relation ctx.db pred in
-        Relation.iter
-          (fun tup c ->
-            let before = Relation.count stored tup in
-            let c' = before + c in
-            if c' < 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "maintenance drove count of %s%s negative (%d); deletions \
-                    must be a subset of the database"
-                   pred (Tuple.to_string tup) c');
-            if cap then
-              if before <= 0 && c' > 0 then
-                Ivm_prov.Prov.on_transition ~pred tup `Derived
-              else if before > 0 && c' <= 0 then
-                Ivm_prov.Prov.on_transition ~pred tup `Deleted;
-            (match record with Some f -> f pred tup c | None -> ());
-            Relation.set_count stored tup c')
-          delta;
-        applied := (pred, delta) :: !applied
-      end)
+      let stored = Database.relation ctx.db pred in
+      Relation.iter
+        (fun tup c ->
+          let before = Relation.count stored tup in
+          let c' = before + c in
+          if c' < 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "maintenance drove count of %s%s negative (%d); deletions \
+                  must be a subset of the database"
+                 pred (Tuple.to_string tup) c');
+          if cap then
+            if before <= 0 && c' > 0 then
+              Ivm_prov.Prov.on_transition ~pred tup `Derived
+            else if before > 0 && c' <= 0 then
+              Ivm_prov.Prov.on_transition ~pred tup `Deleted;
+          Relation.set_count stored tup c')
+        delta)
     ctx.full;
   (* Registered aggregate indexes consume the propagated regime. *)
   let transitions =
     Hashtbl.fold (fun pred delta acc -> (pred, delta) :: acc) ctx.propagated []
   in
-  Database.refresh_agg_indexes ctx.db transitions;
-  List.sort (fun (p, _) (q, _) -> String.compare p q) !applied
+  Database.refresh_agg_indexes ctx.db transitions
+
+(** The one maintenance entry point: a fresh context over [db], the
+    normalized [base] deltas installed, [produce] run to record every
+    derived predicate's delta, then {!commit}.  An exception raised by
+    [produce] leaves the database untouched. *)
+let maintain db base produce =
+  let ctx =
+    {
+      db;
+      base;
+      full = Hashtbl.create 16;
+      propagated = Hashtbl.create 16;
+      neg_deltas = Hashtbl.create 8;
+      agg_deltas = Hashtbl.create 8;
+      grouped = Hashtbl.create 8;
+    }
+  in
+  List.iter (fun (pred, full) -> set_delta ctx pred ~full) base;
+  produce ctx;
+  commit ctx;
+  ctx
+
+(** The non-empty deltas [table] holds for derived predicates, sorted. *)
+let derived_deltas ctx table =
+  List.filter_map
+    (fun p ->
+      match Hashtbl.find_opt table p with
+      | Some r when not (Relation.is_empty r) -> Some (p, r)
+      | _ -> None)
+    (Program.derived_preds (Database.program ctx.db))
+
+let view_deltas ctx =
+  derived_deltas ctx
+    (match Database.semantics ctx.db with
+    | Database.Set_semantics -> ctx.propagated
+    | Database.Duplicate_semantics -> ctx.full)

@@ -1,14 +1,16 @@
-(** The maintenance context shared by Counting, recursive counting and
-    DRed, and the single commit point where stored state changes.
+(** The maintenance context shared by every maintenance algorithm, and
+    the single commit point where stored state changes.
 
-    Every incremental algorithm is a delta producer over one {!ctx}: it
+    Every algorithm — Counting, DRed, recursive counting and recomputation
+    — is a delta producer: a function that only fills a {!ctx}.  It
     records per-predicate deltas ({!set_delta}, or a growing
-    {!start_delta} inside a recursive unit), evaluates its rules through
-    the round engine ({!Ivm_eval.Rounds}) against the old and new views
-    the context provides, and hands the context to {!commit}.  {!commit}
-    alone writes stored counts, reports them to [?record], emits lineage
-    transitions and refreshes aggregate indexes — an exception raised
-    before it leaves the database untouched.
+    {!start_delta} inside a recursive unit), typically by evaluating its
+    rules through the round engine ({!Ivm_eval.Rounds}) against the old
+    and new views the context provides.  {!maintain} runs a producer
+    between installing the base deltas and the commit; the commit alone
+    writes stored counts, emits lineage transitions and refreshes
+    aggregate indexes — an exception raised by a producer leaves the
+    database untouched.
 
     The context also holds Definition 6.1's [Δ(¬Q)], Algorithm 6.1's
     [Δ(T)], and the delta rules of Definition 4.1 ({!seeds}: positions
@@ -25,6 +27,8 @@ type version = Old | New
 
 type ctx = {
   db : Database.t;
+  base : (string * Relation.t) list;
+      (** the normalized base deltas this batch was entered with *)
   full : (string, Relation.t) Hashtbl.t;
       (** per predicate: the full count delta of this maintenance batch *)
   propagated : (string, Relation.t) Hashtbl.t;
@@ -35,8 +39,6 @@ type ctx = {
   agg_deltas : (string, Relation.t) Hashtbl.t;  (** Algorithm 6.1 cache *)
   grouped : (string, Relation.t) Hashtbl.t;  (** old/new grouped relations *)
 }
-
-val create : Database.t -> ctx
 
 (** The accumulated full delta of a predicate (empty if unchanged). *)
 val full_delta : ctx -> string -> Relation.t
@@ -89,13 +91,19 @@ val seeds : ctx -> Compile.t -> Ivm_eval.Rounds.seed list
     its delta and return it. *)
 val derive : ctx -> string -> Relation.t
 
-(** Commit all accumulated deltas into the stored relations; returns the
-    non-empty (predicate, delta) pairs, sorted.  [?record pred tup c]
-    observes every applied per-tuple stored-count difference (the
-    snapshot publisher's net-change feed).
-    @raise Invalid_argument if a count would go negative (the caller
+(** [maintain db base produce]: a fresh context over [db] with the
+    normalized [base] deltas installed, [produce] run to record every
+    derived predicate's delta, then the commit of every accumulated delta
+    into the stored relations.  Returns the committed context.
+    @raise Invalid_argument if a count would go negative (the producer
     violated Lemma 4.1's precondition). *)
-val commit :
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
-  ctx ->
-  (string * Relation.t) list
+val maintain : Database.t -> (string * Relation.t) list -> (ctx -> unit) -> ctx
+
+(** The non-empty deltas a table of the context ([full] or [propagated])
+    holds for derived predicates, sorted by predicate. *)
+val derived_deltas : ctx -> (string, Relation.t) Hashtbl.t -> (string * Relation.t) list
+
+(** What maintenance reports per view: {!derived_deltas} of [propagated]
+    (set transitions) under set semantics, of [full] (count deltas) under
+    duplicate semantics. *)
+val view_deltas : ctx -> (string * Relation.t) list

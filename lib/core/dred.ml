@@ -92,6 +92,9 @@ let part sign r = if sign < 0 then Relation.negative_part r else Relation.positi
 
 let holds ctx p tup = Relation_view.holds (Delta.new_view ctx p) tup
 
+(* All three phases count their rounds under one engine label. *)
+let engine = Rounds.engine "dred"
+
 (** Round 0 of the delete ([sign] −1) and insert (+1) phases: the unit's
     rules seeded from outside the unit — a positive subgoal by the
     [sign] part of its predicate's transitions, a negated subgoal by the
@@ -118,7 +121,7 @@ let delete_overestimate ctx unit_preds ~rules =
   let arity = Program.arity (Database.program db) in
   let dminus = List.map (fun p -> (p, Relation.create (arity p))) unit_preds in
   let inputs cr _pos = Delta.input ctx Delta.Old cr in
-  Rounds.fixpoint db unit_preds ~rules
+  Rounds.fixpoint ~engine db unit_preds ~rules
     ~round0:(round0 ctx unit_preds ~rules ~sign:(-1) ~inputs)
     ~inputs
     ~absorb:(fun p tup _ ->
@@ -129,8 +132,7 @@ let delete_overestimate ctx unit_preds ~rules =
         Relation.add (Delta.full_delta ctx p) tup (-Relation.count stored tup);
         1
       end
-      else 0)
-    ~on_round:(fun _ _ -> ());
+      else 0);
   dminus
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +208,7 @@ let rederive ctx unit_preds dminus =
           Ivm_eval.Rule_eval.set_count )
     | _ -> Delta.input ctx Delta.New cr j
   in
-  Rounds.fixpoint db unit_preds ~rules
+  Rounds.fixpoint ~engine db unit_preds ~rules
     ~round0:
       (List.concat_map
          (fun p ->
@@ -228,15 +230,14 @@ let rederive ctx unit_preds dminus =
         incr (List.assoc p putbacks);
         1
       end
-      else 0)
-    ~on_round:(fun _ _ -> ());
+      else 0);
   List.map (fun (p, n) -> (p, !n)) putbacks
 
 (** Step 3 for one unit: the Δ⁺-rules over the new relations; a tuple
     enters the unit delta when its new view does not already hold it. *)
 let insert_new ctx unit_preds ~rules =
   let inputs cr _pos = Delta.input ctx Delta.New cr in
-  Rounds.fixpoint ctx.Delta.db unit_preds ~rules
+  Rounds.fixpoint ~engine ctx.Delta.db unit_preds ~rules
     ~round0:(round0 ctx unit_preds ~rules ~sign:1 ~inputs)
     ~inputs
     ~absorb:(fun p tup _ ->
@@ -245,29 +246,28 @@ let insert_new ctx unit_preds ~rules =
         Relation.add (Delta.full_delta ctx p) tup 1;
         1
       end)
-    ~on_round:(fun _ _ -> ())
 
 (* ------------------------------------------------------------------ *)
 
-(** Apply [changes] (base-relation deltas with ±1 counts) to [db],
-    maintaining all views with DRed.  Set semantics only (Section 7).
-    @raise Duplicate_semantics_unsupported under duplicate semantics;
-    @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?record (db : Database.t) (changes : Changes.t) : report =
+(* The DRed producer, returning the per-predicate overdelete and
+   rederive sizes for {!maintain}'s report. *)
+let run (ctx : Delta.ctx) =
+  let db = ctx.Delta.db in
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
   Metrics.inc batches_c;
   if Ivm_prov.Prov.capturing () then
     Ivm_prov.Prov.set_rule_rewrite prov_source_rule;
   let program = Database.program db in
-  let normalized = Changes.normalize_base db changes in
-  let ctx = Delta.create db in
-  List.iter (fun (pred, full) -> fix_delta ctx pred ~full) normalized;
+  (* DRed counts the scan that derives the base transitions as work *)
+  List.iter
+    (fun (_, full) -> Relation.iter (fun _ _ -> Stats.add_scanned ()) full)
+    ctx.Delta.base;
   let rules p = List.map (Database.compile db) (Program.rules_for program p) in
   let overdeleted = ref [] and rederived = ref [] in
   Trace.span "dred.maintain"
     ~args:(fun () ->
-      [ ("base_tuples", string_of_int (Changes.total_tuples normalized)) ])
+      [ ("base_tuples", string_of_int (Changes.total_tuples ctx.Delta.base)) ])
     (fun () ->
       List.iter
         (fun unit_preds ->
@@ -320,17 +320,17 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
                 (fun (p, n) -> if n > 0 then rederived := (p, n) :: !rederived)
                 putbacks))
         (Program.recursive_units program));
-  let view_deltas =
-    List.filter_map
-      (fun p ->
-        let d = Delta.propagated_delta ctx p in
-        if Relation.is_empty d then None else Some (p, d))
-      (List.sort String.compare (Program.derived_preds program))
-  in
-  ignore (Delta.commit ?record ctx);
-  {
-    base_deltas = normalized;
-    view_deltas;
-    overdeleted = List.sort compare !overdeleted;
-    rederived = List.sort compare !rederived;
-  }
+  (List.sort compare !overdeleted, List.sort compare !rederived)
+
+let produce ctx = ignore (run ctx)
+
+(** Apply [changes] (base-relation deltas with ±1 counts) to [db],
+    maintaining all views with DRed.  Set semantics only (Section 7).
+    @raise Duplicate_semantics_unsupported under duplicate semantics;
+    @raise Changes.Invalid_changes on malformed change sets. *)
+let maintain (db : Database.t) (changes : Changes.t) : report =
+  let base_deltas = Changes.normalize_base db changes in
+  let sizes = ref ([], []) in
+  let ctx = Delta.maintain db base_deltas (fun ctx -> sizes := run ctx) in
+  let overdeleted, rederived = !sizes in
+  { base_deltas; view_deltas = Delta.view_deltas ctx; overdeleted; rederived }

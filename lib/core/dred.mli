@@ -33,17 +33,17 @@ type report = {
       (** per predicate: tuples put back in step 2 *)
 }
 
-(** Apply base-relation changes with DRed; commits to the stored relations
-    through {!Delta.commit}.  [?record pred tup c] observes every applied
-    per-tuple stored-count difference at commit time.  No count can go
-    below zero: DRed hides exactly −count(stored) once per overdeleted
-    tuple, puts back at most that amount, and adds +1 only to absent
-    slots — so {!Delta.commit}'s negative-count check guards DRed too.
+(** The DRed producer ({!Delta.maintain}): delete, rederive and insert,
+    unit by unit.  No count can go below zero: DRed hides exactly
+    −count(stored) once per overdeleted tuple, puts back at most that
+    amount, and adds +1 only to absent slots — so the commit's
+    negative-count check guards DRed too.
     @raise Duplicate_semantics_unsupported under duplicate semantics
-    (DRed is a set-semantics algorithm, Section 7);
+    (DRed is a set-semantics algorithm, Section 7). *)
+val produce : Delta.ctx -> unit
+
+(** Normalize base-relation changes and run {!produce} through
+    {!Delta.maintain}.
+    @raise Duplicate_semantics_unsupported under duplicate semantics;
     @raise Changes.Invalid_changes on malformed change sets. *)
-val maintain :
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
-  Database.t ->
-  Changes.t ->
-  report
+val maintain : Database.t -> Changes.t -> report

@@ -29,21 +29,12 @@ module Trace = Ivm_obs.Trace
 exception Divergence of string
 
 let default_max_rounds = 10_000
+let engine = Ivm_eval.Rounds.engine "recursive-counting"
 
 let batches_c =
   Metrics.counter
     ~labels:[ ("algorithm", "recursive-counting") ]
     "ivm_maintain_batches_total"
-
-let rounds_c =
-  Metrics.counter
-    ~labels:[ ("engine", "recursive-counting") ]
-    "ivm_fixpoint_rounds_total"
-
-let pending_h =
-  Metrics.histogram
-    ~labels:[ ("engine", "recursive-counting") ]
-    "ivm_fixpoint_delta_size"
 
 (* One recursive unit: iterate batch updates until the pending deltas
    drain.  [ctx] carries the finalized deltas of lower strata; each unit
@@ -71,15 +62,6 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
     | _ -> Delta.input ctx Delta.New cr j
   in
   let on_round round pending =
-    Metrics.inc rounds_c;
-    List.iter
-      (fun p -> Metrics.observe pending_h (Relation.cardinal (pending p)))
-      unit_preds;
-    Trace.instant "rc.round" ~args:(fun () ->
-        ("round", string_of_int round)
-        :: List.map
-             (fun p -> (p, string_of_int (Relation.cardinal (pending p))))
-             unit_preds);
     if round > max_rounds then
       raise
         (Divergence
@@ -92,7 +74,7 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
         Hashtbl.replace old_delta q (Relation.union a (Relation.negate (pending q))))
       acc
   in
-  Ivm_eval.Rounds.fixpoint db unit_preds ~rules
+  Ivm_eval.Rounds.fixpoint ~engine db unit_preds ~rules
     ~round0:
       (List.concat_map (fun p -> List.concat_map (Delta.seeds ctx) (rules p)) unit_preds)
     ~inputs
@@ -102,28 +84,26 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
     ~on_round;
   List.iter (fun (p, a) -> Delta.set_delta ctx p ~full:a) acc
 
-(** Incrementally maintain all views — recursive ones included — with full
-    derivation counts.  @raise Divergence when counts cannot converge;
+(** The recursive-counting producer: Definition 4.1 rounds for
+    nonrecursive predicates, {!fix_unit} for recursive units.
+    @raise Divergence when counts cannot converge;
     @raise Invalid_argument under set semantics (derivation counting
     through recursion needs duplicate semantics; use {!Dred}). *)
-let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
-    (changes : Changes.t) : (string * Relation.t) list =
+let produce ?(max_rounds = default_max_rounds) (ctx : Delta.ctx) : unit =
+  let db = ctx.Delta.db in
   if Database.semantics db = Database.Set_semantics then
     invalid_arg
       "Recursive_counting.maintain: derivation counting through recursion \
        needs duplicate semantics; use Dred for set semantics";
   Metrics.inc batches_c;
-  (* As in [Counting.maintain]: the per-round delta partition enumerates
+  (* As in [Counting.produce]: the per-round delta partition enumerates
      each gained/lost derivation once, so sign-driven capture is exact. *)
   if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
   let program = Database.program db in
-  let normalized = Changes.normalize_base db changes in
   Trace.span "recursive_counting.maintain"
     ~args:(fun () ->
-      [ ("base_tuples", string_of_int (Changes.total_tuples normalized)) ])
+      [ ("base_tuples", string_of_int (Changes.total_tuples ctx.Delta.base)) ])
     (fun () ->
-      let ctx = Delta.create db in
-      List.iter (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta) normalized;
       List.iter
         (fun unit_preds ->
           Ivm_obs.Attribution.set_context
@@ -135,8 +115,14 @@ let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
             Trace.span "rc.fixpoint"
               ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])
               (fun () -> fix_unit ~max_rounds ctx unit_preds))
-        (Program.recursive_units program);
-      Delta.commit ?record ctx)
+        (Program.recursive_units program))
+
+(** Normalize base changes and run {!produce} through {!Delta.maintain};
+    returns the view deltas. *)
+let maintain ?max_rounds (db : Database.t) (changes : Changes.t) :
+    (string * Relation.t) list =
+  Delta.view_deltas
+    (Delta.maintain db (Changes.normalize_base db changes) (produce ?max_rounds))
 
 (** Materialize a database whose program may be recursive with full
     derivation counts: equivalent to maintaining from an empty database

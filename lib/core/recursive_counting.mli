@@ -15,18 +15,16 @@ exception Divergence of string
 
 val default_max_rounds : int
 
-(** Incrementally maintain all views — recursive ones included — with
-    exact derivation counts; commits and returns the applied view deltas.
-    [?record pred tup c] observes every applied per-tuple stored-count
-    difference at commit time (the snapshot publisher's net-change feed).
+(** The recursive-counting producer ({!Delta.maintain}): every view —
+    recursive ones included — with exact derivation counts.
     @raise Divergence when counts cannot converge within [max_rounds];
     @raise Invalid_argument under set semantics (use {!Dred}). *)
+val produce : ?max_rounds:int -> Delta.ctx -> unit
+
+(** Normalize base changes, run {!produce} through {!Delta.maintain} and
+    return the committed view deltas ({!Delta.view_deltas}). *)
 val maintain :
-  ?max_rounds:int ->
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
-  Database.t ->
-  Changes.t ->
-  (string * Relation.t) list
+  ?max_rounds:int -> Database.t -> Changes.t -> (string * Relation.t) list
 
 (** Materialize a (possibly recursive) program with derivation counts:
     equivalent to maintaining from an empty database with every base fact

@@ -89,26 +89,41 @@ let materialize algorithm db =
   | Recursive_counting -> Recursive_counting.evaluate db
   | Counting | Dred | Recompute | Auto -> Seminaive.evaluate db
 
-(** Re-evaluate everything from scratch after applying the base changes —
-    the baseline. *)
-let recompute_maintain (db : Database.t) (changes : Changes.t) : unit =
+(** Recomputation as a delta producer — the baseline the paper argues
+    against: evaluate a copy of the database from scratch with the base
+    deltas applied, and record every derived predicate's delta as
+    fresh − stored, so the batch commits like any other. *)
+let recompute (ctx : Delta.ctx) : unit =
   Metrics.inc recompute_batches_c;
   Trace.span "recompute.maintain" (fun () ->
+      (* Every stored support is dropped; evaluating the copy re-records
+         each current derivation through the evaluator's capture hook,
+         and the commit emits the lineage transitions. *)
+      if Ivm_prov.Prov.capturing () then
+        Ivm_prov.Prov.truncate_supports ~reason:"recompute";
+      let db = ctx.Delta.db in
+      let fresh = Database.copy ~with_indexes:false db in
       List.iter
         (fun (pred, delta) ->
-          Database.invalidate_agg_indexes db pred;
-          let stored = Database.relation db pred in
-          Relation.iter (fun tup c -> Relation.add stored tup c) delta)
-        (Changes.normalize_base db changes);
-      Seminaive.evaluate db)
+          Relation.union_into ~into:(Database.relation fresh pred) delta)
+        ctx.Delta.base;
+      Seminaive.evaluate fresh;
+      List.iter
+        (fun p ->
+          Delta.set_delta ctx p
+            ~full:(Relation.diff (Database.relation fresh p) (Database.relation db p)))
+        (Program.derived_preds (Database.program db)))
 
-(** Apply one batch of base-relation changes with the configured
-    algorithm.  Returns the set transitions per derived predicate.
+(** The delta producer of a resolved algorithm. *)
+let producer : algorithm -> Delta.ctx -> unit = function
+  | Counting -> Counting.produce
+  | Dred -> Dred.produce
+  | Recursive_counting -> Recursive_counting.produce ?max_rounds:None
+  | Recompute | Auto -> recompute
 
-    Durable managers log first: the batch is normalized against the
-    pre-state, appended to the write-ahead log and fsync'd {e before}
-    maintenance touches any relation, so after a crash a batch is either
-    durable or never happened.
+(** Maintain one normalized batch with the configured algorithm through
+    {!Delta.maintain}.  Returns the view deltas ({!Delta.view_deltas});
+    [track] receives every committed delta, base and derived.
 
     Observability: the whole batch runs under a [maintain_batch] span
     (the root of the batch → stratum → rule span tree), its end-to-end
@@ -122,25 +137,10 @@ let last_batch_g =
   Metrics.gauge "ivm_last_batch_ns"
     ~help:"Wall time of the most recent maintenance batch, nanoseconds"
 
-let maintain_batch ?track (t : t) (changes : Changes.t) :
+let maintain_batch ?track (t : t) (normalized : Changes.t) :
     (string * Relation.t) list =
   let resolved = resolve t in
   let name = algorithm_name resolved in
-  (* Net-change tracking for the snapshot publisher: the incremental
-     algorithms record every applied per-tuple stored-count difference at
-     their commit site; recomputation rewrites relations wholesale, so
-     the collector is marked incomplete and the publisher falls back to a
-     full copy for this group. *)
-  let record =
-    match track with
-    | None -> None
-    | Some col -> (
-      match resolved with
-      | Counting | Dred | Recursive_counting -> Some (Changes.record col)
-      | Recompute | Auto ->
-        Changes.mark_incomplete col;
-        None)
-  in
   let t0 = Unix.gettimeofday () in
   Ivm_obs.Attribution.batch_begin ~algorithm:name;
   if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.batch_begin ~algorithm:name;
@@ -152,48 +152,24 @@ let maintain_batch ?track (t : t) (changes : Changes.t) :
       wall_ns;
     Metrics.set last_batch_g (float_of_int wall_ns)
   in
-  let deltas =
+  let ctx =
     Fun.protect ~finally:finish (fun () ->
         Trace.span "maintain_batch"
           ~args:(fun () -> [ ("algorithm", name) ])
-          (fun () ->
-            match resolved with
-            | Counting ->
-              let report = Counting.maintain ?record t.db changes in
-              (match Database.semantics t.db with
-              | Database.Set_semantics -> report.Counting.propagated_deltas
-              | Database.Duplicate_semantics -> report.Counting.view_deltas)
-            | Dred ->
-              let report = Dred.maintain ?record t.db changes in
-              report.Dred.view_deltas
-            | Recursive_counting ->
-              Recursive_counting.maintain ?record t.db changes
-            | Recompute | Auto ->
-              (* A recompute invalidates every stored support wholesale;
-                 [Seminaive.evaluate] then re-records each current
-                 derivation through the evaluator's capture hook.  (No
-                 lineage transitions: recompute overwrites relations
-                 without a commit loop.) *)
-              if Ivm_prov.Prov.capturing () then
-                Ivm_prov.Prov.truncate_supports ~reason:"recompute";
-              recompute_maintain t.db changes;
-              []))
+          (fun () -> Delta.maintain t.db normalized (producer resolved)))
   in
+  Option.iter (fun col -> Hashtbl.iter (Changes.record col) ctx.Delta.full) track;
   Database.observe_gauges t.db;
-  deltas
+  Delta.view_deltas ctx
 
+(** Apply one batch: normalized once against the pre-state — a durable
+    manager then appends exactly that to the write-ahead log and fsyncs
+    it {e before} maintenance touches any relation, so after a crash a
+    batch is either durable or never happened. *)
 let apply (t : t) (changes : Changes.t) : (string * Relation.t) list =
-  let changes =
-    match t.store with
-    | None -> changes
-    | Some store ->
-      (* normalizing first makes the log record exactly what maintenance
-         will apply (and rejects invalid batches before logging them) *)
-      let normalized = Changes.normalize_base t.db changes in
-      Ivm_store.Store.append store normalized;
-      normalized
-  in
-  maintain_batch t changes
+  let normalized = Changes.normalize_base t.db changes in
+  Option.iter (fun store -> Ivm_store.Store.append store normalized) t.store;
+  maintain_batch t normalized
 
 (** Group commit (the [ivm_serve] writer's path): apply a whole queue of
     batches with {e one} fsync.  Each batch is normalized against the
@@ -404,11 +380,9 @@ let maintainer t : Rule_changes.maintainer =
  fun db changes ->
   (* during a rule change the maintainer runs on the rebuilt database
      while [t.db] still holds the old one *)
-  match resolve_in t.algorithm db with
-  | Counting -> ignore (Counting.maintain db changes)
-  | Dred -> ignore (Dred.maintain db changes)
-  | Recursive_counting -> ignore (Recursive_counting.maintain db changes)
-  | Recompute | Auto -> recompute_maintain db changes
+  ignore
+    (Delta.maintain db (Changes.normalize_base db changes)
+       (producer (resolve_in t.algorithm db)))
 
 let register_agg_indexes (t : t) : unit =
   List.iter

@@ -79,11 +79,14 @@ val resolve : t -> algorithm
     into a fresh snapshot, like rule changes. *)
 val set_algorithm : t -> algorithm -> unit
 
-(** Apply one batch of base-relation changes.  Returns the per-view deltas
-    (set transitions under set semantics / DRed, count deltas under
-    duplicate semantics); empty for [Recompute].  On a durable manager the
-    normalized batch is appended to the write-ahead log and fsync'd before
-    maintenance runs (see {!Ivm_store.Store}). *)
+(** Apply one batch of base-relation changes.  The batch is normalized
+    once ({!Changes.normalize_base}); every algorithm then runs as a
+    delta producer through {!Delta.maintain}.  Returns the derived
+    predicates' deltas ({!Delta.view_deltas}) — set transitions under set
+    semantics, count deltas under duplicate semantics — the same for
+    every algorithm, [Recompute] included.  On a durable manager the
+    normalized batch is appended to the write-ahead log and fsync'd
+    before maintenance runs (see {!Ivm_store.Store}). *)
 val apply : t -> Changes.t -> (string * Relation.t) list
 
 (** Stage-timing callbacks for {!apply_group}, the hook the serve path's
@@ -113,10 +116,9 @@ type group_hooks = {
     [hooks], when given, receives per-batch and group stage timings (a
     stage that raises reports nothing, so an [Error] slot's chain simply
     ends where the batch failed).  [track], when given, accumulates the
-    group's exact net stored-count changes — base and derived — via the
-    algorithms' commit-site recording ({!Changes.record}); a batch
-    maintained by recomputation marks the collector incomplete instead
-    (the snapshot publisher then falls back to a full copy). *)
+    group's exact net stored-count changes — base and derived, under
+    every algorithm — from each batch's committed context
+    ({!Changes.record}). *)
 val apply_group :
   ?hooks:group_hooks -> ?track:Changes.collector -> t -> Changes.t list ->
   ((string * Relation.t) list, string) result list

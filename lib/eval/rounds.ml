@@ -6,6 +6,7 @@ module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
 module Tuple = Ivm_relation.Tuple
 module Program = Ivm_datalog.Program
+module Metrics = Ivm_obs.Metrics
 
 type seed = {
   rule : Compile.t;
@@ -63,7 +64,21 @@ let run seeds ~absorb =
   let tasks = Array.of_list (List.concat_map (tasks ~chunks) seeds) in
   Array.iter (fun (p, buf) -> absorb p buf) (Ivm_par.parallel_map tasks)
 
-let fixpoint db preds ~rules ~round0 ~inputs ~absorb ~on_round =
+type engine = {
+  instant : string;  (** the [<engine>.round] trace instant's name *)
+  rounds_c : Metrics.counter;
+  delta_h : Metrics.histogram;
+}
+
+let engine name =
+  let labels = [ ("engine", name) ] in
+  {
+    instant = name ^ ".round";
+    rounds_c = Metrics.counter ~labels "ivm_fixpoint_rounds_total";
+    delta_h = Metrics.histogram ~labels "ivm_fixpoint_delta_size";
+  }
+
+let fixpoint ?(on_round = fun _ _ -> ()) ~engine db preds ~rules ~round0 ~inputs ~absorb =
   let program = Database.program db in
   let rec go n round =
     let next = List.map (fun p -> (p, Relation.create (Program.arity program p))) preds in
@@ -72,6 +87,11 @@ let fixpoint db preds ~rules ~round0 ~inputs ~absorb ~on_round =
         Relation.iter (fun tup c -> Relation.add into tup (absorb p tup c)) buf);
     if List.exists (fun (_, r) -> not (Relation.is_empty r)) next then begin
       let pending p = List.assoc p next in
+      Metrics.inc engine.rounds_c;
+      List.iter (fun (_, r) -> Metrics.observe engine.delta_h (Relation.cardinal r)) next;
+      Ivm_obs.Trace.instant engine.instant ~args:(fun () ->
+          ("round", string_of_int (n + 1))
+          :: List.map (fun (p, r) -> (p, string_of_int (Relation.cardinal r))) next);
       on_round (n + 1) pending;
       let delta = function
         | Compile.Catom a when List.mem_assoc a.cpred next -> Some (pending a.cpred)

@@ -47,7 +47,15 @@ val seeds :
     predicate. *)
 val run : seed list -> absorb:(string -> Relation.t -> unit) -> unit
 
-(** [fixpoint db preds ~rules ~round0 ~inputs ~absorb ~on_round] runs the
+(** A fixpoint engine: a name and the round instruments labelled with it,
+    [ivm_fixpoint_rounds_total{engine}] and
+    [ivm_fixpoint_delta_size{engine}].  Create one per caller, at module
+    level, so the families export from the first scrape. *)
+type engine
+
+val engine : string -> engine
+
+(** [fixpoint ~engine db preds ~rules ~round0 ~inputs ~absorb] runs the
     semi-naive fixpoint of the recursive unit [preds].
 
     - [rules p] are the rules seeded for [p] in rounds after the first;
@@ -58,13 +66,19 @@ val run : seed list -> absorb:(string -> Relation.t -> unit) -> unit
       returns the count it adds to [p]'s next pending delta (0 for
       none).
     - [on_round n pending] runs before round [n ≥ 1] is built, with the
-      pending deltas it seeds from. *)
+      pending deltas it seeds from.
+
+    Every round [n ≥ 1] is counted under [engine]: one increment of its
+    rounds counter, one delta-size observation per unit predicate's
+    pending delta, and an [<engine>.round] trace instant carrying the
+    round number and the pending sizes. *)
 val fixpoint :
+  ?on_round:(int -> (string -> Relation.t) -> unit) ->
+  engine:engine ->
   Database.t ->
   string list ->
   rules:(string -> Compile.t list) ->
   round0:seed list ->
   inputs:(Compile.t -> int -> int -> Rule_eval.subgoal_input) ->
   absorb:(string -> Tuple.t -> int -> int) ->
-  on_round:(int -> (string -> Relation.t) -> unit) ->
   unit

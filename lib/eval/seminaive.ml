@@ -12,12 +12,10 @@
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
 module Program = Ivm_datalog.Program
-module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
 open Compile
 
-let rounds_c = Metrics.counter ~labels:[ ("engine", "seminaive") ] "ivm_fixpoint_rounds_total"
-let delta_h = Metrics.histogram ~labels:[ ("engine", "seminaive") ] "ivm_fixpoint_delta_size"
+let engine = Rounds.engine "seminaive"
 
 exception Recursive_duplicates of string
 
@@ -120,7 +118,7 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
     | Some total ->
       if before then Relation_view.concrete total else Hashtbl.find old_totals q
   in
-  Rounds.fixpoint db unit_preds ~rules
+  Rounds.fixpoint ~engine db unit_preds ~rules
     ~round0:
       (List.concat_map
          (fun p ->
@@ -138,16 +136,7 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
         1
       end
       else 0)
-    ~on_round:(fun round pending ->
-      Metrics.inc rounds_c;
-      List.iter
-        (fun p -> Metrics.observe delta_h (Relation.cardinal (pending p)))
-        unit_preds;
-      Trace.instant "seminaive.round" ~args:(fun () ->
-          ("round", string_of_int round)
-          :: List.map
-               (fun p -> (p, string_of_int (Relation.cardinal (pending p))))
-               unit_preds);
+    ~on_round:(fun _ pending ->
       List.iter
         (fun (q, total) ->
           Hashtbl.replace old_totals q

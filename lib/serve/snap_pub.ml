@@ -6,9 +6,9 @@
    (EXPERIMENTS.md E19).  This module applies the paper's own
    counting-delta discipline to publication itself: keep two shadow
    databases in rotation and, instead of copying, {e patch} the spare
-   with the group's net tuple-count changes (surfaced from the
-   maintenance algorithms' commit sites via [Changes.collector]), then
-   publish it atomically.  Publish cost drops to O(|Δ| · indexes).
+   with the group's net tuple-count changes (the deltas every batch
+   committed through [Delta.maintain], gathered in a [Changes.collector]),
+   then publish it atomically.  Publish cost drops to O(|Δ| · indexes).
 
    Reader safety is epoch pinning.  A global epoch counter is bumped at
    every publish; each reader domain owns one pin cell.  To use a
@@ -30,10 +30,12 @@
    published snapshot is never mutated while any reader's epoch pins
    it), and the writer never blocks on a client (the PR 4/PR 8
    discipline).  Fallback also covers every commit the delta feed
-   cannot describe: recompute batches, rule changes / algorithm
-   switches ([View_manager.state_version]), a replaced database
-   identity, and databases with registered aggregate indexes (their
-   accumulator state is not tuple-count-patchable). *)
+   cannot describe: rule changes / algorithm switches
+   ([View_manager.state_version]), a replaced database identity, and
+   databases with registered aggregate indexes (their accumulator state
+   is not tuple-count-patchable).  Batches commit through one entry
+   point under every algorithm, recomputation included, so a tracked
+   group is always describable. *)
 
 module Vm = Ivm.View_manager
 module Changes = Ivm.Changes
@@ -225,7 +227,7 @@ let wait_unpinned (t : t) (buf : buffer) : bool =
   end
 
 (** Publish the live database's state after a group commit.  Writer
-    domain only.  [track], when complete and nothing moved out-of-band
+    domain only.  [track], when given and nothing moved out-of-band
     since the last publish, carries the group's exact net changes: both
     shadows absorb them and the spare is patched in place — otherwise
     both shadows are marked dirty and a fresh full copy is published.
@@ -236,8 +238,7 @@ let publish ?track (t : t) : mode =
   let tracked =
     match track with
     | Some col
-      when Changes.is_complete col
-           && live == t.last_db
+      when live == t.last_db
            && version = t.last_state_version
            && Database.agg_signatures live = [] ->
       Some (Changes.collected col)

@@ -3,8 +3,8 @@
 
     Two shadow databases rotate behind an atomically published pointer.
     After each group commit the writer patches the spare shadow with the
-    group's {e net tuple-count changes} (surfaced from the maintenance
-    algorithms' commit sites via {!Ivm.Changes.collector}) and swaps it
+    group's {e net tuple-count changes} (the deltas every batch committed,
+    gathered in an {!Ivm.Changes.collector}) and swaps it
     in: O(|Δ| · indexes) instead of the old O(|DB| + index rebuild)
     [Database.copy] per group.
 
@@ -17,11 +17,12 @@
     snapshot is {e never} mutated while any reader's epoch pins it
     (invariant 13) and no client can wedge the writer.
 
-    Commits the delta feed cannot describe — recompute batches, rule
-    changes / algorithm switches ({!Ivm.View_manager.state_version}), a
-    replaced database identity, registered aggregate indexes — also
-    fall back to a full copy (counted, observable on [/metrics] and
-    [/statusz]). *)
+    Commits the delta feed cannot describe — rule changes / algorithm
+    switches ({!Ivm.View_manager.state_version}), a replaced database
+    identity, registered aggregate indexes — also fall back to a full
+    copy (counted, observable on [/metrics] and [/statusz]).  Batch
+    commits are always describable: every algorithm, recomputation
+    included, commits through one entry point. *)
 
 module Vm = Ivm.View_manager
 module Changes = Ivm.Changes
@@ -59,7 +60,7 @@ val current : t -> Database.t
 val epoch : t -> int
 
 (** Publish the live database's state after a group commit (writer
-    domain only).  With a complete [track] collector and no out-of-band
+    domain only).  With a [track] collector and no out-of-band
     mutation since the last publish, the spare is patched in place and
     swapped in ([Incremental]); otherwise a fresh full copy is published
     ([Full_copy]).  Observes [publish.rotate_wait] / [publish.patch]

@@ -108,6 +108,22 @@ let test_insert_delete_lineage () =
     Alcotest.(check bool) "derived before deleted" true (b1 < b2)
   | _ -> Alcotest.fail "expected full lineage for hop(b,b)"
 
+(* Recompute commits through the same point as the incremental
+   algorithms, so its batches leave the same lineage trail. *)
+let test_recompute_lineage () =
+  with_capture @@ fun () ->
+  let vm = Vm.of_source ~algorithm:Vm.Recompute hop_src in
+  Vm.enable_provenance vm;
+  ignore (Vm.insert vm "link" [ t2 "c" "b" ]);
+  Alcotest.(check bool)
+    "hop(b,b) has supports" true
+    (Prov.supports_of ~pred:"hop" (t2 "b" "b") <> []);
+  ignore (Vm.delete vm "link" [ t2 "c" "b" ]);
+  match Prov.lineage_of ~pred:"hop" (t2 "b" "b") with
+  | Some { Prov.first_derived = Some b1; last_deleted = Some b2; _ } ->
+    Alcotest.(check bool) "derived before deleted" true (b1 < b2)
+  | _ -> Alcotest.fail "expected a Deleted transition for hop(b,b)"
+
 let test_whynot_reports_failing_subgoal () =
   with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
@@ -433,6 +449,8 @@ let suite =
     Alcotest.test_case "why: present tuple tree" `Quick test_why_present_tuple;
     Alcotest.test_case "why: absent / unknown" `Quick test_why_absent_and_unknown;
     Alcotest.test_case "insert/delete lineage" `Quick test_insert_delete_lineage;
+    Alcotest.test_case "recompute: insert/delete lineage" `Quick
+      test_recompute_lineage;
     Alcotest.test_case "why not: failing subgoal" `Quick
       test_whynot_reports_failing_subgoal;
     Alcotest.test_case "rule change refreshes supports" `Quick

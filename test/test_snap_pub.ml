@@ -232,6 +232,30 @@ let test_stalled_reader_fallback () =
     (Database.canonical_digest (Vm.database vm))
     (Database.canonical_digest (Snap_pub.current pub))
 
+(* ---------------- recompute commits like every algorithm ---------- *)
+
+let test_recompute_publishes_incrementally () =
+  let vm = Vm.of_source ~algorithm:Vm.Recompute seed_src in
+  let pub = Snap_pub.create ~readers:1 vm in
+  let group entries =
+    let changes =
+      Changes.of_list (Vm.program vm)
+        [ ("link", List.map (fun (x, y, c) -> (Tuple.of_ints [ x; y ], c)) entries) ]
+    in
+    let track = Changes.collector () in
+    (match Vm.apply_group ~track vm [ changes ] with
+    | [ Ok _ ] -> ()
+    | _ -> Alcotest.fail "apply_group failed");
+    Alcotest.(check string) "tracked group publishes by patching" "incremental"
+      (Snap_pub.mode_name (Snap_pub.publish ~track pub));
+    Alcotest.(check string) "published equals live"
+      (Database.canonical_digest (Vm.database vm))
+      (Database.canonical_digest (Snap_pub.current pub))
+  in
+  group [ (1, 2, 1); (2, 3, 1); (3, 1, 1) ];
+  group [ (2, 3, -1); (3, 4, 1) ];
+  Alcotest.(check int) "no full copies" 0 (Snap_pub.stats pub).Snap_pub.full_copies
+
 let suite =
   [
     Alcotest.test_case "Relation.patch guards negative counts" `Quick
@@ -242,4 +266,6 @@ let suite =
       test_publish_equivalence;
     Alcotest.test_case "stalled reader triggers counted full-copy fallback"
       `Quick test_stalled_reader_fallback;
+    Alcotest.test_case "recompute publishes incrementally" `Quick
+      test_recompute_publishes_incrementally;
   ]

@@ -225,4 +225,5 @@ let suite =
     pinned_rounds "seminaive evaluate: fixpoint rounds" "seminaive" 3 seminaive_stream;
     pinned_rounds "recursive counting: fixpoint rounds" "recursive-counting" 37
       recursive_counting_stream;
+    pinned_rounds "dred: fixpoint rounds" "dred" 186 dred_stream;
   ]
