@@ -106,15 +106,20 @@ let normalize_base (db : Database.t) (t : t) : t =
    through [Delta.maintain], and the view manager feeds each committed
    delta here, so the collected set is exact by construction: replaying
    it with ⊎ onto any count-identical database yields the
-   post-maintenance database. *)
+   post-maintenance database.  The accumulators are index-free: a
+   committed delta may carry the indexes its rule evaluation probed
+   (Δhop under [tri_hop :- hop, link]), and nothing probes a collector,
+   so copying them would only rebuild and then maintain indexes on
+   every batch of a group. *)
 type collector = (string, Relation.t) Hashtbl.t
 
 let collector () : collector = Hashtbl.create 8
 
 let record (col : collector) pred delta =
-  match Hashtbl.find_opt col pred with
-  | Some r -> Relation.union_into ~into:r delta
-  | None -> Hashtbl.replace col pred (Relation.copy delta)
+  if not (Relation.is_empty delta) then
+    match Hashtbl.find_opt col pred with
+    | Some r -> Relation.union_into ~into:r delta
+    | None -> Hashtbl.replace col pred (Relation.copy ~with_indexes:false delta)
 
 let collected (col : collector) : t =
   Hashtbl.fold (fun p r acc -> if Relation.is_empty r then acc else (p, r) :: acc)
