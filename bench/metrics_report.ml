@@ -314,7 +314,6 @@ let provenance_overhead () : Json.t =
       if enabled then begin
         Ivm_prov.Prov.reset ();
         Ivm_prov.Prov.set_enabled true;
-        Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
         (* bootstrap (support store for the initial materialization) is
            setup cost, not per-batch cost: outside the clock *)
         Ivm_eval.Seminaive.replay_derivations db

@@ -22,14 +22,13 @@ module Json = Ivm_obs.Json
 
 let usage =
   "serve_load [--clients K] [--seconds S] [--readers N] [--dir DIR] [--batch \
-   T] [--full-publish] [--hold-snapshot MS] [--json OUT] [--gate BASELINE]"
+   T] [--hold-snapshot MS] [--json OUT] [--gate BASELINE]"
 
 let clients = ref 8
 let seconds = ref 3.0
 let readers = ref 2
 let dir = ref ""
 let batch = ref 2
-let full_publish = ref false
 let hold_ms = ref 0
 let json_out = ref ""
 let gate = ref ""
@@ -50,9 +49,6 @@ let rec parse_args = function
     parse_args rest
   | "--batch" :: t :: rest ->
     batch := max 1 (int_of_string t);
-    parse_args rest
-  | "--full-publish" :: rest ->
-    full_publish := true;
     parse_args rest
   | "--hold-snapshot" :: ms :: rest ->
     hold_ms := int_of_string ms;
@@ -150,21 +146,14 @@ let () =
     end
   in
   let vm = Vm.of_source ~durable:dir (program_source ()) in
-  let config =
-    {
-      Server.default_config with
-      readers = !readers;
-      full_publish = !full_publish;
-    }
-  in
+  let config = { Server.default_config with readers = !readers } in
   let srv = Server.start ~config ~vm ~port:0 () in
   let port = Server.port srv in
   Printf.printf
     "serve_load: %d clients x %.1fs against 127.0.0.1:%d (%d readers, batch \
-     %d%s%s, durable %s)\n\
+     %d%s, durable %s)\n\
      %!"
     !clients !seconds port !readers !batch
-    (if !full_publish then ", full-publish" else "")
     (if !hold_ms > 0 then Printf.sprintf ", hold %dms" !hold_ms else "")
     dir;
   let deadline = Unix.gettimeofday () +. !seconds in
@@ -280,7 +269,6 @@ let () =
            ("seconds", Json.Num !seconds);
            ("readers", Json.int !readers);
            ("batch", Json.int !batch);
-           ("full_publish", Json.Bool !full_publish);
            ("hold_snapshot_ms", Json.int !hold_ms);
            ("ops", Json.int ops);
            ("ops_per_s", Json.Num (float_of_int ops /. !seconds));

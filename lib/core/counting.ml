@@ -69,10 +69,6 @@ let produce (ctx : Delta.ctx) : unit =
              nonrecursive views — use DRed for recursive views" p))
   | None -> ());
   Metrics.inc batches_c;
-  (* Delta emissions enumerate each gained (+) / lost (−) derivation
-     exactly once (Definition 4.1's partition), so sign-driven support
-     capture stays exact. *)
-  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
   let base = ctx.Delta.base in
   let affected =
     (* only views transitively depending on a changed base relation can
@@ -94,8 +90,6 @@ let produce (ctx : Delta.ctx) : unit =
       List.iter
         (fun p ->
           if List.mem p affected then begin
-            Ivm_obs.Attribution.set_context
-              ~stratum:(Program.stratum program p) ~phase:"delta";
             let out =
               Trace.span "counting.view"
                 ~args:(fun () ->

@@ -184,12 +184,17 @@ let seeds ctx (cr : Compile.t) =
     ~inputs:(fun pos j -> input ctx (if j < pos then New else Old) cr j)
 
 (** One Definition 4.1 round for the nonrecursive predicate [p]: every
-    delta rule of [p]'s rules, ⊎-combined and recorded as [p]'s delta. *)
+    delta rule of [p]'s rules, ⊎-combined and recorded as [p]'s delta.
+    The round runs in [p]'s stratum under phase ["delta"]; its emissions
+    enumerate each gained (+) / lost (−) derivation exactly once
+    (Definition 4.1's partition), so sign-driven support capture stays
+    exact. *)
 let derive ctx p =
   let program = Database.program ctx.db in
   (* the first task buffer becomes the delta; later ones ⊎ into it *)
   let out = ref None in
   Rounds.run
+    ~context:{ Rule_eval.stratum = Program.stratum program p; phase = "delta"; lost = false }
     (List.concat_map
        (fun rule -> seeds ctx (Database.compile ctx.db rule))
        (Program.rules_for program p))

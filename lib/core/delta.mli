@@ -87,8 +87,8 @@ val input : ctx -> version -> Compile.t -> int -> Rule_eval.subgoal_input
 val seeds : ctx -> Compile.t -> Ivm_eval.Rounds.seed list
 
 (** One Definition 4.1 round for a nonrecursive predicate: evaluate the
-    delta rules of all its rules, [⊎]-combine them, record the result as
-    its delta and return it. *)
+    delta rules of all its rules — in its stratum, phase ["delta"] —
+    [⊎]-combine them, record the result as its delta and return it. *)
 val derive : ctx -> string -> Relation.t
 
 (** [maintain db base produce]: a fresh context over [db] with the

@@ -116,12 +116,12 @@ let round0 ctx unit_preds ~rules ~sign ~inputs =
     Returns the overestimate per predicate; each overdeleted tuple is
     hidden from the unit's new views (its whole stored count cancelled)
     as it is found. *)
-let delete_overestimate ctx unit_preds ~rules =
+let delete_overestimate ~context ctx unit_preds ~rules =
   let db = ctx.Delta.db in
   let arity = Program.arity (Database.program db) in
   let dminus = List.map (fun p -> (p, Relation.create (arity p))) unit_preds in
   let inputs cr _pos = Delta.input ctx Delta.Old cr in
-  Rounds.fixpoint ~engine db unit_preds ~rules
+  Rounds.fixpoint ~engine ~context db unit_preds ~rules
     ~round0:(round0 ctx unit_preds ~rules ~sign:(-1) ~inputs)
     ~inputs
     ~absorb:(fun p tup _ ->
@@ -140,15 +140,6 @@ let delete_overestimate ctx unit_preds ~rules =
 (* ------------------------------------------------------------------ *)
 
 let marker_pred p = "$dred_overestimate$" ^ p
-
-(* Rederivation rules reach the evaluator's provenance hook under their
-   rewritten text; map it back to the source rule so stored supports name
-   the program's own rules.  Populated only from sequential task
-   construction (never from worker domains). *)
-let rederive_sources : (string, string) Hashtbl.t = Hashtbl.create 16
-
-let prov_source_rule s =
-  match Hashtbl.find_opt rederive_sources s with Some orig -> orig | None -> s
 
 (** The rederivation rule [δ⁺(p) :- δ⁻(p) & s1ν & … & snν] built as an AST
     rule whose first subgoal is a pseudo-predicate enumerating the
@@ -170,25 +161,21 @@ let rederive_rule (r : Ast.rule) : Ast.rule =
       r.head.args ([], [])
   in
   let marker = { Ast.pred = marker_pred r.head.pred; args = marker_args } in
-  let rr =
-    {
-      Ast.head = { r.head with args = marker_args };
-      body = (Ast.Lpos marker :: r.body) @ filters;
-    }
-  in
-  if Ivm_prov.Prov.capturing () then
-    Hashtbl.replace rederive_sources
-      (Ivm_datalog.Pretty.rule_to_string rr)
-      (Ivm_datalog.Pretty.rule_to_string r);
-  rr
+  {
+    Ast.head = { r.head with args = marker_args };
+    body = (Ast.Lpos marker :: r.body) @ filters;
+  }
 
 (** Step 2 for one unit: puts rederivable tuples back (their hidden counts
     are restored in the unit deltas), semi-naively.  Round 0 checks every
     overdeleted tuple for support in the new database; later rounds
     re-check only candidates joinable with the {e previous round's}
     putbacks (a rederived tuple can support further rederivations within
-    a recursive unit).  Returns per-predicate putback counts. *)
-let rederive ctx unit_preds dminus =
+    a recursive unit).  A rederivation rule is compiled with its source
+    rule's text, so its attribution rows, metric labels and provenance
+    supports name the program's rule, not the internal rewrite.  Returns
+    per-predicate putback counts. *)
+let rederive ~context ctx unit_preds dminus =
   let db = ctx.Delta.db in
   (* pend = δ⁻ tuples not yet put back *)
   let pend = List.map (fun (p, dm) -> (p, Relation.copy dm)) dminus in
@@ -197,7 +184,7 @@ let rederive ctx unit_preds dminus =
     if Relation.is_empty (List.assoc p pend) then []
     else
       List.map
-        (fun r -> Database.compile db (rederive_rule r))
+        (fun r -> Database.compile db ~text:(Database.compile db r).text (rederive_rule r))
         (Program.rules_for (Database.program db) p)
   in
   let inputs (cr : Compile.t) _pos j =
@@ -208,7 +195,7 @@ let rederive ctx unit_preds dminus =
           Ivm_eval.Rule_eval.set_count )
     | _ -> Delta.input ctx Delta.New cr j
   in
-  Rounds.fixpoint ~engine db unit_preds ~rules
+  Rounds.fixpoint ~engine ~context db unit_preds ~rules
     ~round0:
       (List.concat_map
          (fun p ->
@@ -235,9 +222,9 @@ let rederive ctx unit_preds dminus =
 
 (** Step 3 for one unit: the Δ⁺-rules over the new relations; a tuple
     enters the unit delta when its new view does not already hold it. *)
-let insert_new ctx unit_preds ~rules =
+let insert_new ~context ctx unit_preds ~rules =
   let inputs cr _pos = Delta.input ctx Delta.New cr in
-  Rounds.fixpoint ~engine ctx.Delta.db unit_preds ~rules
+  Rounds.fixpoint ~engine ~context ctx.Delta.db unit_preds ~rules
     ~round0:(round0 ctx unit_preds ~rules ~sign:1 ~inputs)
     ~inputs
     ~absorb:(fun p tup _ ->
@@ -256,8 +243,6 @@ let run (ctx : Delta.ctx) =
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
   Metrics.inc batches_c;
-  if Ivm_prov.Prov.capturing () then
-    Ivm_prov.Prov.set_rule_rewrite prov_source_rule;
   let program = Database.program db in
   (* DRed counts the scan that derives the base transitions as work *)
   List.iter
@@ -272,37 +257,37 @@ let run (ctx : Delta.ctx) =
       List.iter
         (fun unit_preds ->
           let unit_name = String.concat "," unit_preds in
-          (* a unit's predicates share a stratum; each phase retags the
-             ambient attribution context before its fan-outs *)
+          (* a unit's predicates share a stratum; each phase's rounds
+             carry it with the phase name.  Delete-phase emissions
+             enumerate lost derivations — their supports are removed
+             whatever the sign; rederivation and insertion emissions add
+             supports. *)
           let stratum = Program.stratum program (List.hd unit_preds) in
           let phase name f =
             Trace.span ("dred." ^ name)
               ~args:(fun () -> [ ("unit", unit_name) ])
               (fun () ->
-                Ivm_obs.Attribution.set_context ~stratum ~phase:name;
-                (* Delete-phase emissions enumerate lost derivations — their
-                   supports are removed regardless of sign; rederivation and
-                   insertion emissions add supports. *)
-                if Ivm_prov.Prov.capturing () then
-                  Ivm_prov.Prov.set_mode
-                    (if String.equal name "delete" then Ivm_prov.Prov.Remove
-                     else Ivm_prov.Prov.Add);
-                f ())
+                f
+                  { Ivm_eval.Rule_eval.stratum; phase = name;
+                    lost = String.equal name "delete" })
           in
           List.iter (fun p -> ignore (Delta.start_delta ctx p)) unit_preds;
           Trace.span "dred.unit"
             ~args:(fun () -> [ ("unit", unit_name) ])
             (fun () ->
               let dminus =
-                phase "delete" (fun () -> delete_overestimate ctx unit_preds ~rules)
+                phase "delete" (fun context ->
+                    delete_overestimate ~context ctx unit_preds ~rules)
               in
               let unit_overdeleted =
                 List.fold_left (fun acc (_, dm) -> acc + Relation.cardinal dm) 0 dminus
               in
               Metrics.add overdeleted_c unit_overdeleted;
               Metrics.observe overestimate_h unit_overdeleted;
-              let putbacks = phase "rederive" (fun () -> rederive ctx unit_preds dminus) in
-              phase "insert" (fun () -> insert_new ctx unit_preds ~rules);
+              let putbacks =
+                phase "rederive" (fun context -> rederive ~context ctx unit_preds dminus)
+              in
+              phase "insert" (fun context -> insert_new ~context ctx unit_preds ~rules);
               List.iter
                 (fun p -> fix_delta ctx p ~full:(Delta.full_delta ctx p))
                 unit_preds;

@@ -74,7 +74,13 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
         Hashtbl.replace old_delta q (Relation.union a (Relation.negate (pending q))))
       acc
   in
-  Ivm_eval.Rounds.fixpoint ~engine db unit_preds ~rules
+  (* as in {!Delta.derive}: each round's delta partition enumerates every
+     gained/lost derivation once, so sign-driven capture is exact *)
+  let context =
+    { Rule_eval.stratum = Program.stratum program (List.hd unit_preds);
+      phase = "delta"; lost = false }
+  in
+  Ivm_eval.Rounds.fixpoint ~engine ~context db unit_preds ~rules
     ~round0:
       (List.concat_map (fun p -> List.concat_map (Delta.seeds ctx) (rules p)) unit_preds)
     ~inputs
@@ -96,9 +102,6 @@ let produce ?(max_rounds = default_max_rounds) (ctx : Delta.ctx) : unit =
       "Recursive_counting.maintain: derivation counting through recursion \
        needs duplicate semantics; use Dred for set semantics";
   Metrics.inc batches_c;
-  (* As in [Counting.produce]: the per-round delta partition enumerates
-     each gained/lost derivation once, so sign-driven capture is exact. *)
-  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
   let program = Database.program db in
   Trace.span "recursive_counting.maintain"
     ~args:(fun () ->
@@ -106,9 +109,6 @@ let produce ?(max_rounds = default_max_rounds) (ctx : Delta.ctx) : unit =
     (fun () ->
       List.iter
         (fun unit_preds ->
-          Ivm_obs.Attribution.set_context
-            ~stratum:(Program.stratum program (List.hd unit_preds))
-            ~phase:"delta";
           match unit_preds with
           | [ p ] when not (Program.recursive program p) -> ignore (Delta.derive ctx p)
           | unit_preds ->

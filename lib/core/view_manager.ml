@@ -527,7 +527,6 @@ let pp ppf t = Database.pp ppf t.db
     in one process, enable capture on only one. *)
 let enable_provenance (t : t) : unit =
   Ivm_prov.Prov.set_enabled true;
-  Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
   Seminaive.replay_derivations t.db
 
 (** Switch capture off and clear the store. *)

@@ -17,30 +17,33 @@ open Ast
 
 exception Unsafe of string
 
-let fail fmt = Format.kasprintf (fun s -> raise (Unsafe s)) fmt
+(* The rule is printed only when a check fails: every ad-hoc query is
+   checked, and printing a rule costs a sizeable share of a small
+   query's evaluation. *)
+let fail (r : rule) fmt =
+  Format.kasprintf (fun s -> raise (Unsafe (Pretty.rule_to_string r ^ ": " ^ s))) fmt
 
 let term_of_expr = function Eterm t -> Some t | _ -> None
 
-let atom_terms (a : atom) ~ctx =
+let atom_terms (a : atom) ~rule =
   List.map
     (fun e ->
       match term_of_expr e with
       | Some t -> t
       | None ->
-        fail "%s: argument of %s must be a variable or constant" ctx a.pred)
+        fail rule "argument of %s must be a variable or constant" a.pred)
     a.args
 
 (** Variables a literal {e provides} once its prerequisites are met, and the
     variables it {e requires} already bound.  [Lcmp] equalities can provide
     their lone unbound side. *)
 let check_rule (r : rule) =
-  let ctx = Pretty.rule_to_string r in
   (* body atoms are term-only *)
   List.iter
     (fun lit ->
       match lit with
-      | Lpos a | Lneg a -> ignore (atom_terms a ~ctx)
-      | Lagg agg -> ignore (atom_terms agg.agg_source ~ctx)
+      | Lpos a | Lneg a -> ignore (atom_terms a ~rule:r)
+      | Lagg agg -> ignore (atom_terms agg.agg_source ~rule:r)
       | Lcmp _ -> ())
     r.body;
   (* aggregate literal well-formedness *)
@@ -52,18 +55,14 @@ let check_rule (r : rule) =
         List.iter
           (fun v ->
             if not (Sset.mem v src_vars) then
-              fail "%s: grouping variable %s does not occur in the grouped atom"
-                ctx v)
+              fail r "grouping variable %s does not occur in the grouped atom" v)
           agg.agg_group_by;
         if Sset.mem agg.agg_result src_vars then
-          fail "%s: aggregate result %s also occurs in the grouped atom" ctx
-            agg.agg_result;
+          fail r "aggregate result %s also occurs in the grouped atom" agg.agg_result;
         if List.mem agg.agg_result agg.agg_group_by then
-          fail "%s: aggregate result %s is also a grouping variable" ctx
-            agg.agg_result;
+          fail r "aggregate result %s is also a grouping variable" agg.agg_result;
         if not (Sset.subset (expr_vars agg.agg_arg) src_vars) then
-          fail "%s: aggregated expression uses variables outside the grouped atom"
-            ctx;
+          fail r "aggregated expression uses variables outside the grouped atom";
         (* locals must not escape *)
         let locals = Sset.remove agg.agg_result (aggregate_local_vars agg) in
         let elsewhere =
@@ -73,8 +72,8 @@ let check_rule (r : rule) =
         in
         let escaped = Sset.inter locals elsewhere in
         if not (Sset.is_empty escaped) then
-          fail "%s: variable %s is local to the aggregation but used elsewhere"
-            ctx (Sset.choose escaped)
+          fail r "variable %s is local to the aggregation but used elsewhere"
+            (Sset.choose escaped)
       | Lpos _ | Lneg _ | Lcmp _ -> ())
     r.body;
   (* binding fixpoint *)
@@ -111,7 +110,7 @@ let check_rule (r : rule) =
   let require what vs =
     let missing = Sset.diff vs !bound in
     if not (Sset.is_empty missing) then
-      fail "%s: %s variable %s is not bound by any positive subgoal" ctx what
+      fail r "%s variable %s is not bound by any positive subgoal" what
         (Sset.choose missing)
   in
   require "head" (atom_vars r.head);

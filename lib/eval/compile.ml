@@ -51,6 +51,9 @@ type clit =
 
 type t = {
   source : rule;
+  text : string;
+      (** the rule's printed text, computed once here: the attribution
+          row, metric label, trace span and provenance support name it *)
   head_pred : string;
   nslots : int;
   slot_names : string array;
@@ -143,7 +146,7 @@ let compile_agg_spec (agg : aggregate) : agg_spec =
 (** Arity of the grouped relation a spec denotes. *)
 let spec_arity spec = Array.length spec.ggroup + 1
 
-let compile (r : rule) : t =
+let compile ?text (r : rule) : t =
   let slots = fresh_slots () in
   (* Body first so that slot order roughly follows binding order. *)
   let clits =
@@ -169,6 +172,7 @@ let compile (r : rule) : t =
   Smap.iter (fun v s -> slot_names.(s) <- v) slots.map;
   {
     source = r;
+    text = (match text with Some s -> s | None -> Ivm_datalog.Pretty.rule_to_string r);
     head_pred = r.head.pred;
     nslots = slots.next;
     slot_names;

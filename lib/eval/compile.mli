@@ -43,6 +43,9 @@ type clit =
 
 type t = {
   source : Ivm_datalog.Ast.rule;
+  text : string;
+      (** the printed rule that attribution rows, [ivm_rule_*] labels,
+          [rule] trace spans and provenance supports name *)
   head_pred : string;
   nslots : int;
   slot_names : string array;
@@ -56,7 +59,10 @@ val compile_agg_spec : Ivm_datalog.Ast.aggregate -> agg_spec
 (** Arity of the grouped relation a spec denotes. *)
 val spec_arity : agg_spec -> int
 
-val compile : Ivm_datalog.Ast.rule -> t
+(** [text] (default: the rule pretty-printed) is how evaluations of the
+    compiled rule are reported — an internal rewrite passes the text of
+    the program rule it stands for. *)
+val compile : ?text:string -> Ivm_datalog.Ast.rule -> t
 
 (** Indices of body literals whose relation can change — the candidate
     delta positions of Definition 4.1 (comparisons never change). *)

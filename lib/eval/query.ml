@@ -74,11 +74,24 @@ let bound_vars (body : Ast.literal list) : string list =
   done;
   List.rev !order
 
-(** Run a query body against the database's stored relations.
-    @raise Safety.Unsafe when the body is unsafe (e.g. a negated or
-    comparison variable never positively bound);
-    @raise Program.Program_error on unknown predicates. *)
-let run (db : Database.t) (body : Ast.literal list) : result =
+(* One evaluation of an ad-hoc rule against the stored relations.  It
+   runs with no evaluation context, so it is neither attributed nor
+   captured as provenance; [text] (default: the rule printed) only names
+   its trace span. *)
+let answer ?text (db : Database.t) (rule : Ast.rule) ~columns : result =
+  Safety.check_rule rule;
+  let cr = Compile.compile ?text rule in
+  let cache = Seminaive.Agg_cache.create () in
+  let inputs =
+    Seminaive.make_inputs ~resolve:(Database.view db)
+      ~mult_for:(Database.mult_for db) ~cache ~version:"query" cr
+  in
+  let rows = Relation.create (List.length columns) in
+  Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr;
+  { columns; rows }
+
+(* The rule [$query$(columns) :- body] and its columns. *)
+let query_rule (db : Database.t) (body : Ast.literal list) =
   let program = Database.program db in
   List.iter
     (fun lit ->
@@ -91,19 +104,15 @@ let run (db : Database.t) (body : Ast.literal list) : result =
   let head =
     { Ast.pred = "$query$"; args = List.map (fun v -> Ast.Eterm (Ast.Var v)) columns }
   in
-  let rule = { Ast.head; body } in
-  Safety.check_rule rule;
-  let cr = Compile.compile rule in
-  let cache = Seminaive.Agg_cache.create () in
-  let inputs =
-    Seminaive.make_inputs ~resolve:(Database.view db)
-      ~mult_for:(Database.mult_for db) ~cache ~version:"query" cr
-  in
-  let rows = Relation.create (List.length columns) in
-  (* Ad-hoc queries must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr);
-  { columns; rows }
+  ({ Ast.head; body }, columns)
+
+(** Run a query body against the database's stored relations.
+    @raise Safety.Unsafe when the body is unsafe (e.g. a negated or
+    comparison variable never positively bound);
+    @raise Program.Program_error on unknown predicates. *)
+let run (db : Database.t) (body : Ast.literal list) : result =
+  let rule, columns = query_rule db body in
+  answer db rule ~columns
 
 (** Run a full query rule: the head's argument expressions are the output
     columns (projection and computed columns), [columns] their display
@@ -111,22 +120,18 @@ let run (db : Database.t) (body : Ast.literal list) : result =
 let run_rule (db : Database.t) (rule : Ast.rule) ~(columns : string list) : result =
   if List.length columns <> List.length rule.Ast.head.Ast.args then
     invalid_arg "Query.run_rule: column/argument count mismatch";
-  Safety.check_rule rule;
-  let cr = Compile.compile rule in
-  let cache = Seminaive.Agg_cache.create () in
-  let inputs =
-    Seminaive.make_inputs ~resolve:(Database.view db)
-      ~mult_for:(Database.mult_for db) ~cache ~version:"query" cr
-  in
-  let rows = Relation.create (List.length columns) in
-  (* Ad-hoc queries must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr);
-  { columns; rows }
+  answer db rule ~columns
 
-(** Parse and run a query text like ["hop(a, X), link(X, Y)"]. *)
+(** Parse and run a query text like ["hop(a, X), link(X, Y)"].  The
+    query is named by its own text, not pretty-printed: point queries
+    are the serving hot path, and printing a rule costs a sizeable share
+    of a small query's evaluation. *)
 let run_text (db : Database.t) (src : string) : result =
-  run db (Parser.parse_body src)
+  let rule, columns = query_rule db (Parser.parse_body src) in
+  let text =
+    String.concat "" [ "$query$("; String.concat ", " columns; ") :- "; String.trim src; "." ]
+  in
+  answer ~text db rule ~columns
 
 (** True when the (necessarily ground) query body has at least one
     derivation — boolean queries like ["link(a, b)"]. *)

@@ -17,7 +17,7 @@ type seed = {
 (* One task per chunk of the seed delta (one task for a full evaluation).
    The seed position enumerates the task's chunk; every other position
    reads the seed's inputs, forced here first. *)
-let tasks ~chunks { rule; at; inputs } =
+let tasks ~context ~chunks { rule; at; inputs } =
   let force () =
     Array.iteri
       (fun j lit ->
@@ -35,7 +35,7 @@ let tasks ~chunks { rule; at; inputs } =
         Rule_eval.Enumerate (Relation_view.concrete part, Rule_eval.identity_count)
       | _ -> inputs j
     in
-    Rule_eval.eval ?seed:(Option.map fst at) ~inputs
+    Rule_eval.eval ~context ?seed:(Option.map fst at) ~inputs
       ~emit:(fun tup c -> Relation.add buf tup c)
       rule;
     (rule.head_pred, buf)
@@ -59,9 +59,9 @@ let seeds rule ~delta ~inputs =
          | None -> [])
        (Array.to_list rule.Compile.clits))
 
-let run seeds ~absorb =
+let run ~context seeds ~absorb =
   let chunks = Par_eval.chunks_hint () in
-  let tasks = Array.of_list (List.concat_map (tasks ~chunks) seeds) in
+  let tasks = Array.of_list (List.concat_map (tasks ~context ~chunks) seeds) in
   Array.iter (fun (p, buf) -> absorb p buf) (Ivm_par.parallel_map tasks)
 
 type engine = {
@@ -78,11 +78,12 @@ let engine name =
     delta_h = Metrics.histogram ~labels "ivm_fixpoint_delta_size";
   }
 
-let fixpoint ?(on_round = fun _ _ -> ()) ~engine db preds ~rules ~round0 ~inputs ~absorb =
+let fixpoint ?(on_round = fun _ _ -> ()) ~engine ~context db preds ~rules ~round0 ~inputs
+    ~absorb =
   let program = Database.program db in
   let rec go n round =
     let next = List.map (fun p -> (p, Relation.create (Program.arity program p))) preds in
-    run round ~absorb:(fun p buf ->
+    run ~context round ~absorb:(fun p buf ->
         let into = List.assoc p next in
         Relation.iter (fun tup c -> Relation.add into tup (absorb p tup c)) buf);
     if List.exists (fun (_, r) -> not (Relation.is_empty r)) next then begin

@@ -17,7 +17,12 @@
     what the previous round absorbed.  It stops when nothing is pending.
     Callers supply only the round-0 seeds, the subgoal inputs of a seed
     position, and the absorb function; the pending tables, the task list,
-    the fan-out and the absorb order are the engine's. *)
+    the fan-out and the absorb order are the engine's.
+
+    Every round carries its caller's {!Rule_eval.context} — stratum,
+    phase and whether emissions are lost derivations — into each task's
+    evaluation, so attribution rows and provenance supports are tagged
+    by the round that produced them, on whichever domain ran it. *)
 
 module Relation = Ivm_relation.Relation
 module Tuple = Ivm_relation.Tuple
@@ -42,10 +47,11 @@ val seeds :
   inputs:(int -> int -> Rule_eval.subgoal_input) ->
   seed list
 
-(** [run seeds ~absorb] evaluates one round and calls [absorb head buf]
-    for every task buffer, in task order; [head] is the rule's head
-    predicate. *)
-val run : seed list -> absorb:(string -> Relation.t -> unit) -> unit
+(** [run ~context seeds ~absorb] evaluates one round, every evaluation
+    under [context], and calls [absorb head buf] for every task buffer,
+    in task order; [head] is the rule's head predicate. *)
+val run :
+  context:Rule_eval.context -> seed list -> absorb:(string -> Relation.t -> unit) -> unit
 
 (** A fixpoint engine: a name and the round instruments labelled with it,
     [ivm_fixpoint_rounds_total{engine}] and
@@ -55,8 +61,9 @@ type engine
 
 val engine : string -> engine
 
-(** [fixpoint ~engine db preds ~rules ~round0 ~inputs ~absorb] runs the
-    semi-naive fixpoint of the recursive unit [preds].
+(** [fixpoint ~engine ~context db preds ~rules ~round0 ~inputs ~absorb]
+    runs the semi-naive fixpoint of the recursive unit [preds], every
+    round under [context].
 
     - [rules p] are the rules seeded for [p] in rounds after the first;
       it is called once per round.
@@ -75,6 +82,7 @@ val engine : string -> engine
 val fixpoint :
   ?on_round:(int -> (string -> Relation.t) -> unit) ->
   engine:engine ->
+  context:Rule_eval.context ->
   Database.t ->
   string list ->
   rules:(string -> Compile.t list) ->

@@ -47,6 +47,8 @@ type subgoal_input =
 
 exception Plan_error of string
 
+type context = { stratum : int; phase : string; lost : bool }
+
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation over a binding                                 *)
 (* ------------------------------------------------------------------ *)
@@ -302,7 +304,8 @@ let fill_buf binding (fill : filler array) (buf : Value.t array) =
       (match fill.(p) with Fconst v -> v | Fslot s -> slot_value binding s)
   done
 
-let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
+let eval_body ?context ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) :
+    unit =
   (* Short-circuit: an empty enumerable input means no derivations. *)
   let empty_input = ref false in
   Array.iteri
@@ -319,11 +322,13 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
     let plan = Array.of_list (build_plan ?seed ~inputs cr) in
     let binding = Array.make cr.nslots None in
     let nsteps = Array.length plan in
-    (* Provenance capture, hoisted to one load per evaluation: when off,
-       the emission path below pays a single boolean test. *)
-    let cap = Ivm_prov.Prov.capturing () in
-    let rule_str =
-      if cap then Ivm_datalog.Pretty.rule_to_string cr.source else ""
+    (* Provenance capture, hoisted to one load per evaluation: when off
+       (or outside a round), the emission path below pays a single
+       boolean test. *)
+    let cap, lost =
+      match context with
+      | Some c -> (Ivm_prov.Prov.capturing (), c.lost)
+      | None -> (false, false)
     in
     let record_support head cnt =
       let subs = ref [] in
@@ -338,7 +343,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
           subs := (a.cpred, Tuple.make vals) :: !subs
         | Cneg _ | Cagg _ | Ccmp _ -> ()
       done;
-      Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:rule_str ~head ~count:cnt
+      Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:cr.text ~head ~count:cnt ~lost
         ~subgoals:!subs
     in
     let rec run k cnt =
@@ -397,33 +402,20 @@ let seed_cardinal ?seed ~(inputs : int -> subgoal_input) () =
     the body-literal index enumerated first — the delta position.  Literals
     whose input relation is empty short-circuit the whole evaluation.
 
-    When per-rule attribution is on ({!Ivm_obs.Attribution}, the
-    default), each evaluation reports its wall time, Δ-in/out and work
-    counters — measured with {!Stats.local_since} so concurrent domains'
-    work is never misattributed to this rule.  When tracing is on
-    ({!Ivm_obs.Trace}), each evaluation is additionally one [rule] span
-    carrying the same breakdown.  With both off, this is two boolean
-    checks over the bare evaluation. *)
-let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
+    [context] is where the round engine runs this evaluation.  With it,
+    attribution ({!Ivm_obs.Attribution}, on by default) gets one row
+    entry per evaluation and provenance capture sees every emission;
+    without it (ad-hoc queries) neither does.  When tracing is on
+    ({!Ivm_obs.Trace}), each evaluation is also one [rule] span.  The
+    row and the span share one measurement: one timer and one
+    {!Stats.local_snapshot}, so concurrent domains' work is never
+    counted against this rule.  With attribution and tracing off, this
+    is the bare evaluation. *)
+let eval ?context ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
   Stats.add_rule_application ();
-  let traced f =
-    if not (Ivm_obs.Trace.enabled ()) then f ()
-    else begin
-      let before = Stats.snapshot () in
-      Ivm_obs.Trace.span "rule" ~cat:"rule_eval"
-        ~args:(fun () ->
-          let w = Stats.since before in
-          [
-            ("rule", Ivm_datalog.Pretty.rule_to_string cr.source);
-            ("derivations", string_of_int w.Stats.snap_derivations);
-            ("probes", string_of_int w.Stats.snap_probes);
-            ("scanned", string_of_int w.Stats.snap_tuples_scanned);
-          ])
-        f
-    end
-  in
-  if not (Ivm_obs.Attribution.enabled ()) then
-    traced (fun () -> eval_body ?seed ~inputs ~emit cr)
+  let attributed = context <> None && Ivm_obs.Attribution.enabled () in
+  let traced = Ivm_obs.Trace.enabled () in
+  if not (attributed || traced) then eval_body ?context ?seed ~inputs ~emit cr
   else begin
     let before = Stats.local_snapshot () in
     let din = seed_cardinal ?seed ~inputs () in
@@ -433,15 +425,35 @@ let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
       emit t c
     in
     let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-        let w = Stats.local_since before in
-        Ivm_obs.Attribution.record
-          ~rule:(Ivm_datalog.Pretty.rule_to_string cr.source)
-          ~wall_ns ~din ~dout:!dout ~probes:w.Stats.snap_probes
-          ~scanned:w.Stats.snap_tuples_scanned
-          ~derivations:w.Stats.snap_derivations
-          ~index_builds:w.Stats.snap_index_builds)
-      (fun () -> traced (fun () -> eval_body ?seed ~inputs ~emit cr))
+    (* the one measurement, taken as the body ends: the row is recorded
+       from it here, the span's args read it afterwards *)
+    let work = ref before in
+    let body () =
+      Fun.protect
+        ~finally:(fun () ->
+          let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+          let w = Stats.local_since before in
+          work := w;
+          match context with
+          | Some { stratum; phase; _ } when attributed ->
+            Ivm_obs.Attribution.record ~rule:cr.text ~stratum ~phase ~wall_ns ~din
+              ~dout:!dout ~probes:w.Stats.snap_probes
+              ~scanned:w.Stats.snap_tuples_scanned
+              ~derivations:w.Stats.snap_derivations
+              ~index_builds:w.Stats.snap_index_builds
+          | _ -> ())
+        (fun () -> eval_body ?context ?seed ~inputs ~emit cr)
+    in
+    if not traced then body ()
+    else
+      Ivm_obs.Trace.span "rule" ~cat:"rule_eval"
+        ~args:(fun () ->
+          let w = !work in
+          [
+            ("rule", cr.text);
+            ("derivations", string_of_int w.Stats.snap_derivations);
+            ("probes", string_of_int w.Stats.snap_probes);
+            ("scanned", string_of_int w.Stats.snap_tuples_scanned);
+          ])
+        body
   end

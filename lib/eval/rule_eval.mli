@@ -16,7 +16,15 @@
     Section 6.1), then enumerable literals greedily by bound argument
     positions (ties to the smaller relation); negation filters,
     comparisons and equality binders run as soon as their variables are
-    bound. *)
+    bound.
+
+    Each evaluation is also the observation point: the round engine
+    ({!Rounds}) hands it a {!context}, and the evaluator reports the
+    evaluation's cost to [Ivm_obs.Attribution] and each emission to
+    [Ivm_prov.Prov] under that context — there is no process-wide
+    setting to read.  An evaluation without a context (an ad-hoc query)
+    is neither attributed nor captured; a [rule] trace span covers
+    every evaluation while tracing is on. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -39,6 +47,13 @@ type subgoal_input =
 
 exception Plan_error of string
 
+(** Where an evaluation runs in a maintenance batch: the [stratum] and
+    [phase] (["delta"], ["delete"], ["rederive"], ["insert"],
+    ["materialize"], ["fixpoint"], ["replay"]) keying its attribution
+    row, and whether its emissions are [lost] derivations (DRed's delete
+    phase: provenance removes a support whatever the emission's sign). *)
+type context = { stratum : int; phase : string; lost : bool }
+
 (** Value of a compiled expression under a binding.
     @raise Plan_error on an unbound variable. *)
 val expr_value : Value.t option array -> Compile.cexpr -> Value.t
@@ -56,10 +71,14 @@ val unwind : Value.t option array -> int list -> unit
 (** Evaluate the body of a compiled rule, calling [emit head count] once
     per derivation (the caller accumulates with [⊎]).  [seed] is the body
     literal enumerated first — the delta position.  Empty enumerable
-    inputs short-circuit the evaluation.
+    inputs short-circuit the evaluation.  With [context], the evaluation
+    is attributed and its emissions captured (see above); the attribution
+    row and the [rule] trace span share one timer and one
+    [Stats.local_snapshot].
     @raise Plan_error when a literal cannot be planned (unsafe rule or a
     negated literal without input). *)
 val eval :
+  ?context:context ->
   ?seed:int ->
   inputs:(int -> subgoal_input) ->
   emit:(Tuple.t -> int -> unit) ->

@@ -67,19 +67,25 @@ let stored_seeds db ~cache pred =
       { Rounds.rule = cr; at = None; inputs })
     (Program.rules_for (Database.program db) pred)
 
+(* A from-scratch materialization enumerates every derivation of every
+   derived tuple exactly once (round-0 rules plus the semi-naive delta
+   partition), so with capture on its emissions rebuild the support store
+   from nothing: no phase of this module loses derivations. *)
+let context program pred phase =
+  { Rule_eval.stratum = Program.stratum program pred; phase; lost = false }
+
 (** Evaluate all rules of one nonrecursive predicate against the current
     database state; returns its full materialization.  The rules are one
     round of full evaluations on the round engine. *)
 let eval_nonrecursive db ~cache pred =
   let program = Database.program db in
   let out = Relation.create (Program.arity program pred) in
-  Ivm_obs.Attribution.set_context ~stratum:(Program.stratum program pred)
-    ~phase:"materialize";
   Trace.span "seminaive.materialize"
     ~args:(fun () ->
       [ ("pred", pred); ("tuples", string_of_int (Relation.cardinal out)) ])
     (fun () ->
-      Rounds.run (stored_seeds db ~cache pred) ~absorb:(fun _ part ->
+      Rounds.run ~context:(context program pred "materialize")
+        (stored_seeds db ~cache pred) ~absorb:(fun _ part ->
           Relation.union_into ~into:out part));
   out
 
@@ -100,10 +106,6 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
             "predicate %s is recursive: duplicate (counting) semantics may \
              not terminate on recursive views (Section 8); use set semantics"
             (List.hd unit_preds)));
-  (* one context for the whole unit: its predicates share a stratum *)
-  Ivm_obs.Attribution.set_context
-    ~stratum:(Program.stratum program (List.hd unit_preds))
-    ~phase:"fixpoint";
   let totals =
     List.map (fun p -> (p, Relation.create (Program.arity program p))) unit_preds
   in
@@ -118,7 +120,10 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
     | Some total ->
       if before then Relation_view.concrete total else Hashtbl.find old_totals q
   in
-  Rounds.fixpoint ~engine db unit_preds ~rules
+  (* one context for the whole unit: its predicates share a stratum *)
+  Rounds.fixpoint ~engine
+    ~context:(context program (List.hd unit_preds) "fixpoint")
+    db unit_preds ~rules
     ~round0:
       (List.concat_map
          (fun p ->
@@ -148,11 +153,6 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
     base relations (overwrites previous materializations). *)
 let evaluate (db : Database.t) : unit =
   Trace.span "seminaive.evaluate" (fun () ->
-      (* A from-scratch materialization enumerates every derivation of
-         every derived tuple exactly once (round-0 rules plus the
-         semi-naive delta partition), so with capture on the emissions
-         rebuild the support store from nothing. *)
-      if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
       let program = Database.program db in
       let cache = Agg_cache.create () in
       List.iter
@@ -177,9 +177,11 @@ let evaluate (db : Database.t) : unit =
     mid-session, or after a truncation). *)
 let replay_derivations (db : Database.t) : unit =
   if Ivm_prov.Prov.capturing () then begin
-    Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
+    let program = Database.program db in
     let cache = Agg_cache.create () in
     List.iter
-      (fun p -> Rounds.run (stored_seeds db ~cache p) ~absorb:(fun _ _ -> ()))
-      (Program.derived_preds (Database.program db))
+      (fun p ->
+        Rounds.run ~context:(context program p "replay") (stored_seeds db ~cache p)
+          ~absorb:(fun _ _ -> ()))
+      (Program.derived_preds program)
   end

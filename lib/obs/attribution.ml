@@ -12,12 +12,12 @@
     slow-batch structured log line.
 
     {b Lifecycle.}  [View_manager] brackets each maintenance batch with
-    {!batch_begin}/{!batch_end}.  In between, the algorithm layers
-    ([Seminaive], [Counting], [Dred], …) publish the ambient {e context}
-    — stratum and phase — sequentially {e before} each parallel fan-out
-    (every task of one fan-out shares that context), and [Rule_eval]
-    calls {!record} once per rule evaluation from whichever domain ran
-    it.  [record] takes plain ints so the work deltas can come from
+    {!batch_begin}/{!batch_end}.  In between, [Rule_eval] calls {!record}
+    once per rule evaluation, from whichever domain ran it, with the
+    stratum and phase the round engine ([Ivm_eval.Rounds]) handed that
+    evaluation — the context travels with the round, so an evaluation
+    outside any maintenance round (an ad-hoc query) records nothing.
+    [record] takes plain ints so the work deltas can come from
     [Stats.local_since] (exact per-domain work; a global snapshot would
     fold other domains' concurrent bumps into this rule).
 
@@ -42,19 +42,6 @@ let enabled_flag =
 
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
-
-(* ---------------- ambient context ---------------- *)
-
-(* Set sequentially by the algorithm layer before each parallel fan-out;
-   worker domains only read it.  The pool's task handoff (mutex-guarded
-   queue) provides the happens-before edge, so a plain ref suffices. *)
-let context : (int * string) ref = ref (0, "")
-
-(** [set_context ~stratum ~phase] tags subsequent {!record} calls.  Call
-    from the coordinating domain only, never during a fan-out. *)
-let set_context ~stratum ~phase = context := (stratum, phase)
-
-let get_context () = !context
 
 (* ---------------- labeled metrics ---------------- *)
 
@@ -165,8 +152,8 @@ let batch_begin ~algorithm =
     or outside a batch).  Called from worker domains; serialized on an
     internal lock — the lock is per {e rule evaluation}, not per tuple,
     so contention stays negligible next to the join work itself. *)
-let record ~rule ~wall_ns ~din ~dout ~probes ~scanned ~derivations
-    ~index_builds =
+let record ~rule ~stratum ~phase ~wall_ns ~din ~dout ~probes ~scanned
+    ~derivations ~index_builds =
   if !enabled_flag then begin
     Mutex.lock lock;
     (match !current with
@@ -175,7 +162,6 @@ let record ~rule ~wall_ns ~din ~dout ~probes ~scanned ~derivations
       (* one real sample per evaluation — the histogram's latency shape
          is genuine, not a batch-end reconstruction from row means *)
       Metrics.observe (handles_for rule).h_hist wall_ns;
-      let stratum, phase = !context in
       let key = (rule, stratum, phase) in
       match Hashtbl.find_opt c.c_rows key with
       | Some r ->

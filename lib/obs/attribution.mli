@@ -2,16 +2,16 @@
 
     Aggregate counters answer "how much work happened"; this module
     answers {e which rule} did it.  [View_manager] brackets each
-    maintenance batch with {!batch_begin}/{!batch_end}; the algorithm
-    layers publish the ambient stratum/phase {e context} sequentially
-    before each parallel fan-out; [Rule_eval] calls {!record} once per
-    rule evaluation (from whichever domain ran it) with work deltas from
+    maintenance batch with {!batch_begin}/{!batch_end}; [Rule_eval]
+    calls {!record} once per rule evaluation (from whichever domain ran
+    it) with the stratum and phase its round carries
+    ([Ivm_eval.Rounds]) and work deltas from
     [Ivm_eval.Stats.local_since], so per-rule numbers stay exact under
-    parallel evaluation.  The finished batch backs the shell's
-    [explain last], the monitor's [/statusz], cumulative labeled
+    parallel evaluation.  Evaluations outside a round (ad-hoc queries)
+    carry no context and record nothing.  The finished batch backs the
+    shell's [explain last], the monitor's [/statusz], cumulative labeled
     [/metrics] families ([ivm_rule_wall_ns_total{rule=…}] etc.), and an
-    optional slow-batch JSON log line on stderr
-    ([IVM_SLOW_BATCH_MS]).
+    optional slow-batch JSON log line on stderr ([IVM_SLOW_BATCH_MS]).
 
     Row wall times are per-domain and overlap under parallel fan-out, so
     {!type-batch.busy_wall_ns} (their sum) may exceed the elapsed
@@ -23,13 +23,6 @@
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-(** Tag subsequent {!record} calls with a stratum and phase (e.g.
-    ["delta"], ["delete"], ["rederive"], ["insert"]).  Call from the
-    coordinating domain only, before a fan-out — never during one. *)
-val set_context : stratum:int -> phase:string -> unit
-
-val get_context : unit -> int * string
 
 type row = {
   rule : string;
@@ -62,12 +55,15 @@ val max_rows : int
     disabled). *)
 val batch_begin : algorithm:string -> unit
 
-(** Fold one rule evaluation into the current batch — a no-op when
-    disabled or outside a batch.  Safe from worker domains (internal
-    lock, taken once per rule evaluation). *)
+(** Fold one rule evaluation into the current batch's
+    [(rule, stratum, phase)] row (phase e.g. ["delta"], ["delete"],
+    ["rederive"], ["insert"]) — a no-op when disabled or outside a
+    batch.  Safe from worker domains (internal lock, taken once per rule
+    evaluation). *)
 val record :
-  rule:string -> wall_ns:int -> din:int -> dout:int -> probes:int ->
-  scanned:int -> derivations:int -> index_builds:int -> unit
+  rule:string -> stratum:int -> phase:string -> wall_ns:int -> din:int ->
+  dout:int -> probes:int -> scanned:int -> derivations:int ->
+  index_builds:int -> unit
 
 (** Close the current batch: sort rows by wall time, store it in the
     bounded history, refresh the labeled metric families, emit the

@@ -4,8 +4,6 @@ module Tuple = Ivm_relation.Tuple
 module Json = Ivm_obs.Json
 module Metrics = Ivm_obs.Metrics
 
-type mode = Add | Remove
-
 type support = {
   rule : string;
   subgoals : (string * Tuple.t) array;
@@ -54,8 +52,6 @@ module Tbl = Hashtbl.Make (Key)
 let lock = Mutex.create ()
 let enabled_flag = Atomic.make false
 let suspend_depth = Atomic.make 0
-let mode_ref = ref Add
-let rule_rewrite : (string -> string) ref = ref Fun.id
 let table : entry Tbl.t = Tbl.create 4096
 
 (* Rule strings interned so equal supports share one box and the
@@ -139,9 +135,6 @@ let with_suspended f =
   Atomic.incr suspend_depth;
   Fun.protect ~finally:(fun () -> Atomic.decr suspend_depth) f
 
-let set_mode m = mode_ref := m
-let set_rule_rewrite f = rule_rewrite := f
-
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
@@ -221,16 +214,16 @@ let drop_sups e =
 
 let pseudo p = String.length p > 0 && p.[0] = '$'
 
-let record ~pred ~rule ~head ~count ~subgoals =
+let record ~pred ~rule ~head ~count ~lost ~subgoals =
   if count <> 0 && capturing () && not (pseudo pred) then
     locked (fun () ->
         Metrics.inc m_records;
-        let rule = intern_rule (!rule_rewrite rule) in
+        let rule = intern_rule rule in
         let sg =
           Array.of_list (List.filter (fun (p, _) -> not (pseudo p)) subgoals)
         in
         let e = entry_of (pred, head) in
-        let remove = !mode_ref = Remove || count < 0 in
+        let remove = lost || count < 0 in
         let c = abs count in
         let find () =
           List.find_opt

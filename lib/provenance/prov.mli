@@ -6,9 +6,11 @@
     (rule, immediate subgoal tuples) pair, plus a per-tuple lineage of
     batch transitions (first derived / last deleted).  Capture is opt-in
     and process-global: the rule evaluator calls {!record} at every head
-    emission, and the maintenance commit ([Ivm.Delta.commit], shared by
-    every incremental algorithm) calls {!on_transition} when a tuple's
-    stored count crosses zero.
+    emission of an evaluation the round engine ([Ivm_eval.Rounds]) runs —
+    ad-hoc queries run outside it and are never recorded — and the
+    maintenance commit ([Ivm.Delta.commit], shared by every incremental
+    algorithm) calls {!on_transition} when a tuple's stored count
+    crosses zero.
 
     {b Cost discipline.}  When capture is off, every hook reduces to one
     atomic load and a predictable branch — the hooks live in the hot path
@@ -19,10 +21,10 @@
     {b Incremental correctness.}  The delta rules of Definition 4.1
     partition the derivations gained or lost by a batch so that each is
     enumerated exactly once; applying a support add (positive emission
-    count, or {!set_mode}[ Add]) or remove (negative count, or
-    [Remove] — DRed's deletion phase) per emission therefore keeps the
-    stored supports an exact bounded subset of the current derivations.
-    DRed's delete/rederive phases can enumerate a lost derivation more
+    count) or remove (negative count, or an emission of a round whose
+    emissions are {e lost} derivations — DRed's deletion phase) per
+    emission therefore keeps the stored supports an exact bounded subset
+    of the current derivations.  DRed's delete/rederive phases can enumerate a lost derivation more
     than once (once per changed subgoal); removals with no matching
     support are counted and ignored, and the rederivation phase restores
     supports for tuples that were over-deleted and put back.
@@ -33,14 +35,6 @@
     newest 16 events; the batch ring keeps the newest 64 batches. *)
 
 module Tuple = Ivm_relation.Tuple
-
-(** Ambient capture mode, set {e sequentially} by the maintenance
-    algorithm before fanning rule evaluation out to worker domains:
-    [Add] treats an emission of count [c] as gaining (c > 0) or losing
-    (c < 0) a derivation; [Remove] — DRed's deletion phase, where
-    emissions estimate {e lost} derivations regardless of sign — always
-    removes. *)
-type mode = Add | Remove
 
 (** {1 Capture state} *)
 
@@ -55,30 +49,26 @@ val capturing : unit -> bool
 val set_enabled : bool -> unit
 
 (** [with_suspended f] runs [f] with capture suspended (nestable) — used
-    around evaluations that must not pollute the store: audits over
-    database copies, ad-hoc queries, rule-redefinition maintenance. *)
+    around maintenance runs that must not pollute the store: audits over
+    database copies, rule-redefinition maintenance. *)
 val with_suspended : (unit -> 'a) -> 'a
-
-val set_mode : mode -> unit
-
-(** Maps the pretty-printed text of an internally rewritten rule back to
-    the source rule it derives for (DRed registers the rederivation-rule
-    mapping here).  Applied inside {!record}; the default is identity. *)
-val set_rule_rewrite : (string -> string) -> unit
 
 (** {1 Hooks (called by the evaluator and the algorithms)} *)
 
-(** [record ~pred ~rule ~head ~count ~subgoals] — one derivation of
-    [head] by [rule] from the listed positive subgoal tuples, in body
-    order.  No-op unless {!capturing}; adds or removes a support per the
-    ambient {!mode} and the sign of [count].  Pseudo-predicates (names
-    starting with ['$']) are dropped: as head they suppress the record,
-    as subgoals they are elided (DRed's overestimate markers). *)
+(** [record ~pred ~rule ~head ~count ~lost ~subgoals] — one derivation
+    of [head] by [rule] (the program rule's text: DRed's rederivation
+    rule passes its source rule's) from the listed positive subgoal
+    tuples, in body order.  No-op unless {!capturing}; removes a support
+    when [lost] (the emitting round enumerates lost derivations) or
+    [count < 0], adds one otherwise.  Pseudo-predicates (names starting
+    with ['$']) are dropped: as head they suppress the record, as
+    subgoals they are elided (DRed's overestimate markers). *)
 val record :
   pred:string ->
   rule:string ->
   head:Tuple.t ->
   count:int ->
+  lost:bool ->
   subgoals:(string * Tuple.t) list ->
   unit
 

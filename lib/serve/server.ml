@@ -45,9 +45,6 @@ type config = {
   publish_max_wait_s : float;
       (** how long the writer waits for a pinned reader before a publish
           falls back to a full snapshot copy ({!Snap_pub}) *)
-  full_publish : bool;
-      (** benchmarking escape hatch: publish untracked, forcing the
-          pre-incremental full-copy path on every group *)
 }
 
 let default_config =
@@ -59,7 +56,6 @@ let default_config =
     client_timeout_s = 5.0;
     max_outbox = 1024;
     publish_max_wait_s = 0.05;
-    full_publish = false;
   }
 
 type session = {
@@ -651,8 +647,7 @@ let writer_loop (t : t) =
          and rotate; full-copy fallback when the group was untracked or
          a stalled reader pins the spare. *)
       let t_pub0 = Unix.gettimeofday () in
-      let track = if t.config.full_publish then None else Some track in
-      ignore (Snap_pub.publish ?track t.pub : Snap_pub.mode);
+      ignore (Snap_pub.publish ~track t.pub : Snap_pub.mode);
       Snap_pub.refresh_gauges t.pub;
       Atomic.set t.published_seq seq;
       Atomic.incr t.group_commits;

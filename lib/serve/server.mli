@@ -31,14 +31,11 @@ type config = {
   publish_max_wait_s : float;
       (** how long the writer waits for a pinned reader before a
           publish falls back to a full snapshot copy ({!Snap_pub}) *)
-  full_publish : bool;
-      (** benchmarking escape hatch: publish untracked, forcing the
-          pre-incremental full-copy path on every group *)
 }
 
 (** [{auth_token = None; max_sessions = 64; max_batch_tuples = 100_000;
     readers = 2; client_timeout_s = 5.0; max_outbox = 1024;
-    publish_max_wait_s = 0.05; full_publish = false}] *)
+    publish_max_wait_s = 0.05}] *)
 val default_config : config
 
 type t

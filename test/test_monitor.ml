@@ -370,6 +370,122 @@ let test_attribution_json_and_pp () =
       (contains ~needle:"phase" table)
 
 (* ------------------------------------------------------------------ *)
+(* Evaluation context: rows, labels and spans per round                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The [rule] label of every registered [ivm_rule_*] series. *)
+let rule_labels () =
+  List.filter_map
+    (fun (m : Metrics.registered) ->
+      if starts_with ~prefix:"ivm_rule_" m.name then List.assoc_opt "rule" m.labels
+      else None)
+    (Metrics.dump ())
+
+(** An ad-hoc query run while a batch is open carries no evaluation
+    context: it adds no row to the batch and no label to the registry. *)
+let test_query_not_attributed () =
+  let vm = Vm.of_source ~algorithm:Vm.Counting two_strata_src in
+  Attribution.batch_begin ~algorithm:"query-probe";
+  let r = Ivm_eval.Query.run_text (Vm.database vm) "hop(a, X)" in
+  Alcotest.(check int) "the query answers" 1 (Ivm_relation.Relation.cardinal r.rows);
+  match Attribution.batch_end ~total_wall_ns:0 with
+  | None -> Alcotest.fail "no batch recorded (attribution disabled?)"
+  | Some b ->
+    Alcotest.(check (list string)) "no query row" []
+      (List.filter_map
+         (fun r ->
+           if contains ~needle:"$query$" r.Attribution.rule then Some r.Attribution.rule
+           else None)
+         b.Attribution.rows);
+    Alcotest.(check (list string)) "no query label" []
+      (List.filter (fun l -> contains ~needle:"$query$" l) (rule_labels ()))
+
+let tc_src =
+  "tc(X, Y) :- link(X, Y).\n\
+   tc(X, Y) :- tc(X, Z), link(Z, Y).\n\
+   link(a,b). link(b,c). link(a,c). link(c,d).\n"
+
+(** A DRed deletion whose overestimate is rederived: every row names a
+    rule of the program — the rederive rows the recursive source rule,
+    not DRed's internal rewrite — and no [ivm_rule_*] label names a
+    pseudo-predicate. *)
+let test_dred_rows_name_program_rules () =
+  let vm = Vm.of_source ~algorithm:Vm.Dred tc_src in
+  let texts =
+    List.map Ivm_datalog.Pretty.rule_to_string
+      (Ivm_datalog.Program.rules (Vm.program vm))
+  in
+  ignore (Vm.apply vm (Changes.deletions (Vm.program vm) "link" [ t2 "a" "c" ]));
+  Alcotest.(check bool) "tc(a, c) rederived" true
+    (Ivm_relation.Relation.mem (Vm.relation vm "tc") (t2 "a" "c"));
+  match Attribution.last () with
+  | None -> Alcotest.fail "no batch recorded"
+  | Some b ->
+    List.iter
+      (fun r ->
+        Alcotest.(check bool)
+          ("row names a program rule: " ^ r.Attribution.rule)
+          true
+          (List.mem r.Attribution.rule texts))
+      b.Attribution.rows;
+    let rederive =
+      List.filter (fun r -> r.Attribution.phase = "rederive") b.Attribution.rows
+    in
+    Alcotest.(check bool) "rederive rows present" true (rederive <> []);
+    Alcotest.(check bool) "a rederive row names the recursive rule" true
+      (List.exists
+         (fun r -> r.Attribution.rule = "tc(X, Y) :- tc(X, Z), link(Z, Y).")
+         rederive);
+    Alcotest.(check (list string)) "no pseudo-predicate label" []
+      (List.filter (fun l -> String.contains l '$') (rule_labels ()))
+
+(* A graph big enough that a batch's seed deltas split into many chunks. *)
+let chain_src =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b
+    "hop(X,Y) :- link(X,Z), link(Z,Y).\n\
+     tri(X,Y) :- hop(X,Z), link(Z,Y).\n";
+  for i = 0 to 119 do
+    List.iter
+      (fun k -> Printf.bprintf b "link(n%d, n%d).\n" i ((i + k) mod 120))
+      [ 1; 7; 31 ]
+  done;
+  Buffer.contents b
+
+(** Forced to four domains, the [rule] spans of one multi-chunk counting
+    batch carry per-domain work: their [derivations] args sum to the
+    batch's derivation count, with no other domain's work folded in. *)
+let test_rule_spans_exact_at_4_domains () =
+  let prev_domains = Ivm_par.domains () in
+  Ivm_par.set_domains 4;
+  Fun.protect ~finally:(fun () -> Ivm_par.set_domains prev_domains) @@ fun () ->
+  let vm = Vm.of_source ~algorithm:Vm.Counting chain_src in
+  let changes =
+    Changes.insertions (Vm.program vm) "link"
+      (List.init 40 (fun i ->
+           Tuple.of_list
+             [ Value.Str (Printf.sprintf "n%d" (3 * i)); Value.Str (Printf.sprintf "n%d" (i + 50)) ]))
+  in
+  let before = Ivm_eval.Stats.derivations () in
+  Ivm_obs.Trace.enable ~capacity:100_000 ();
+  Fun.protect ~finally:(fun () -> ignore (Ivm_obs.Trace.disable ())) (fun () ->
+      ignore (Vm.apply vm changes));
+  let derived = Ivm_eval.Stats.derivations () - before in
+  let spans =
+    List.filter (fun e -> e.Ivm_obs.Trace.name = "rule") (Ivm_obs.Trace.ring_events ())
+  in
+  Alcotest.(check int) "no span dropped" 0 (Ivm_obs.Trace.dropped ());
+  (* 4 delta positions (2 rules × 2 body atoms): more spans means chunks *)
+  Alcotest.(check bool) "multi-chunk batch" true (List.length spans > 4);
+  let sum =
+    List.fold_left
+      (fun acc e -> acc + int_of_string (List.assoc "derivations" e.Ivm_obs.Trace.args))
+      0 spans
+  in
+  Alcotest.(check bool) "the batch derived something" true (derived > 0);
+  Alcotest.(check int) "span derivations sum to the batch's" derived sum
+
+(* ------------------------------------------------------------------ *)
 (* HTTP smoke: a live server on an ephemeral port                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -479,6 +595,12 @@ let suite =
       test_attribution_disabled;
     Alcotest.test_case "attribution: json + explain table" `Quick
       test_attribution_json_and_pp;
+    Alcotest.test_case "attribution: ad-hoc queries record nothing" `Quick
+      test_query_not_attributed;
+    Alcotest.test_case "attribution: DRed rows and labels name program rules"
+      `Quick test_dred_rows_name_program_rules;
+    Alcotest.test_case "trace: rule spans exact at 4 domains" `Quick
+      test_rule_spans_exact_at_4_domains;
     Alcotest.test_case "http: endpoints over a live socket" `Quick
       test_http_endpoints;
     Alcotest.test_case "http: stop joins and releases the port" `Quick

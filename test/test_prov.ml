@@ -340,7 +340,6 @@ let scenario ~semantics ~src ~load ~evaluate ~maintain ~next ~max_depth
   let program = Program.make (Parser.parse_rules src) in
   let db = Database.create ~semantics program in
   Database.load db "link" (load rng);
-  Prov.set_mode Prov.Add;
   evaluate db;
   let derived = Program.derived_preds program in
   (* every (pred, tuple) ever observed present, to find deletions later *)
