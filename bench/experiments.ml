@@ -15,6 +15,8 @@ module Pf = Ivm_baselines.Pf
 module Rule_eval = Ivm_eval.Rule_eval
 module Relation_view = Ivm_relation.Relation_view
 module Compile = Ivm_eval.Compile
+module Grouping = Ivm_eval.Grouping
+module Agg_index = Ivm_eval.Agg_index
 
 (* =================================================================== *)
 (* E1 — counting vs recomputation (§1, §4)                              *)
@@ -475,6 +477,18 @@ let e7 () =
 (* E8 — aggregate views touch only changed groups (§6.2, Alg 6.1)       *)
 (* =================================================================== *)
 
+(* The program's one GROUPBY subgoal, compiled. *)
+let groupby_spec program =
+  Option.get
+    (List.find_map
+       (fun rule ->
+         List.find_map
+           (function
+             | Ivm_datalog.Ast.Lagg agg -> Some (Compile.compile_agg_spec agg)
+             | _ -> None)
+           rule.Ivm_datalog.Ast.body)
+       (Program.rules program))
+
 let e8 () =
   print_header "E8: aggregation — only changed groups are recomputed"
     "Algorithm 6.1 recomputes the aggregate tuple only for groups occurring in Δ(U)";
@@ -508,26 +522,25 @@ let e8 () =
           ~setup:(fun () -> Database.copy db0)
           (fun db -> ignore (Counting.maintain db changes))
       in
-      (* ablation: persistent per-group accumulators ([DAJ91]) *)
-      let db_idx = Database.copy db0 in
-      List.iter
-        (fun rule ->
-          List.iter
-            (fun lit ->
-              match lit with
-              | Ivm_datalog.Ast.Lagg agg ->
-                ignore
-                  (Database.register_agg_index db_idx
-                     (Compile.compile_agg_spec agg))
-              | _ -> ())
-            rule.Ivm_datalog.Ast.body)
-        (Program.rules (Database.program db_idx));
-      Harness.warm db_idx `Counting;
-      let t_idx =
-        median_time ~repeat:3
-          ~setup:(fun () -> Database.copy db_idx)
-          (fun db -> ignore (Counting.maintain db changes))
+      (* Δ(T) alone for the same Δ(hop): Algorithm 6.1 as the paper states
+         it (re-scan each touched group in the old and new hop) against
+         the [DAJ91] accumulator index maintenance reads it from *)
+      let after = Database.copy db0 in
+      let delta_hop =
+        List.assoc "hop" (Counting.maintain after changes).Counting.propagated_deltas
       in
+      let spec = groupby_spec (Database.program db0) in
+      let idx = Database.agg_index db0 spec in
+      let rescan () =
+        Grouping.delta ~mult:(Database.mult_for db0 "hop")
+          ~old_view:(Database.view db0 "hop") ~new_view:(Database.view after "hop")
+          ~delta_u:delta_hop spec
+      in
+      let accumulate () = Agg_index.delta_preview idx delta_hop in
+      (* the untimed first call also builds hop's group-key index *)
+      if not (Relation.equal_counted (rescan ()) (accumulate ())) then ok := false;
+      let t_rescan = median_time ~repeat:3 ~setup:ignore rescan in
+      let t_acc = median_time ~repeat:3 ~setup:ignore accumulate in
       let t_re =
         median_time ~repeat:3
           ~setup:(fun () -> Database.copy db0)
@@ -536,16 +549,20 @@ let e8 () =
       if t_inc >= t_re then ok := false;
       rows :=
         [
-          fmt_int k; fmt_int total_groups; fmt_time t_inc; fmt_time t_idx;
-          fmt_time t_re; fmt_ratio (t_re /. t_inc);
+          fmt_int k; fmt_int (Relation.cardinal delta_hop); fmt_int total_groups;
+          fmt_time t_rescan; fmt_time t_acc; fmt_time t_inc; fmt_time t_re;
+          fmt_ratio (t_re /. t_inc);
         ]
         :: !rows)
     [ 1; 10; 50 ];
   print_table
-    [ "|Δlink|"; "groups in view"; "incremental (probe)";
-      "incremental (indexed)"; "recompute"; "speedup" ]
+    [ "|Δlink|"; "|Δhop|"; "groups in view"; "Δ(T) re-scan (Alg 6.1)";
+      "Δ(T) accumulators"; "counting"; "recompute"; "speedup" ]
     (List.rev !rows);
-  verdict !ok "maintaining MIN per touched group beats recomputing every group"
+  verdict !ok
+    "maintaining MIN per touched group beats recomputing every group; \
+     both Δ(T) paths agree"
+
 
 (* =================================================================== *)
 (* E9 — the heuristic of inertia has a crossover (§1)                   *)

@@ -133,26 +133,21 @@ let grouped ctx version (spec : Compile.agg_spec) =
     Hashtbl.replace ctx.grouped tag r;
     r
 
-(** Algorithm 6.1: [Δ(T)] for one GROUPBY spec, cached.  When the database
-    carries a persistent aggregate index for the spec
-    ({!Database.register_agg_index}), the delta comes from the per-group
-    accumulators in [O(|Δ| log)]; otherwise touched groups are recomputed
-    from the source relation (index-assisted). *)
+(** Algorithm 6.1: [Δ(T)] for one GROUPBY spec, cached.  Only the groups
+    occurring in the source delta are touched, each through the spec's
+    persistent accumulator index ({!Database.agg_index}, [DAJ91]) in
+    [O(|Δ| log)]; the index consumes the propagated regime — count deltas
+    under duplicates, ±1 set transitions under set semantics — and
+    {!commit} folds the batch into it. *)
 let agg_delta ctx (spec : Compile.agg_spec) =
   match Hashtbl.find_opt ctx.agg_deltas spec.gsignature with
   | Some r -> r
   | None ->
-    let pred = spec.gsource.cpred in
+    let delta_u = propagated_delta ctx spec.gsource.cpred in
+    (* an unchanged source moves no group: leave its index unbuilt *)
     let r =
-      match Database.agg_index ctx.db spec with
-      | Some idx ->
-        (* the index consumes the propagated regime: count deltas under
-           duplicates, ±1 set transitions under set semantics *)
-        Ivm_eval.Agg_index.delta_preview idx (propagated_delta ctx pred)
-      | None ->
-        let mult = Database.mult_for ctx.db pred in
-        Grouping.delta ~mult ~old_view:(old_view ctx pred)
-          ~new_view:(new_view ctx pred) ~delta_u:(full_delta ctx pred) spec
+      if Relation.is_empty delta_u then Relation.create (Compile.spec_arity spec)
+      else Ivm_eval.Agg_index.delta_preview (Database.agg_index ctx.db spec) delta_u
     in
     Hashtbl.replace ctx.agg_deltas spec.gsignature r;
     r
@@ -232,7 +227,7 @@ let commit ctx =
           Relation.set_count stored tup c')
         delta)
     ctx.full;
-  (* Registered aggregate indexes consume the propagated regime. *)
+  (* Aggregate indexes consume the propagated regime. *)
   let transitions =
     Hashtbl.fold (fun pred delta acc -> (pred, delta) :: acc) ctx.propagated []
   in

@@ -129,17 +129,19 @@ let maintain ?max_rounds (db : Database.t) (changes : Changes.t) :
     with every base fact inserted.  @raise Divergence on cyclic data. *)
 let evaluate ?(max_rounds = default_max_rounds) (db : Database.t) : unit =
   let program = Database.program db in
+  (* emptying a relation is a write outside the commit: drop the
+     aggregate indexes it sources, so the batch rebuilds them empty *)
+  let clear p =
+    Database.invalidate_agg_indexes db p;
+    Relation.clear (Database.relation db p)
+  in
   let base_contents =
     List.map
       (fun p ->
-        let r = Database.relation db p in
-        let copy = Relation.copy r in
-        Relation.clear r;
+        let copy = Relation.copy (Database.relation db p) in
+        clear p;
         (p, copy))
       (Program.base_preds program)
   in
-  List.iter
-    (fun p ->
-      Relation.clear (Database.relation db p))
-    (Program.derived_preds program);
+  List.iter clear (Program.derived_preds program);
   ignore (maintain ~max_rounds db base_contents)

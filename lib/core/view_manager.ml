@@ -57,15 +57,13 @@ let algorithm_of_string = function
 type t = {
   mutable db : Database.t;
   mutable algorithm : algorithm;
-  mutable incremental_aggregates : bool;
   mutable store : Ivm_store.Store.t option;
       (** durable mode: every validated batch is WAL-logged (fsync'd)
           before maintenance applies it — see {!open_durable} *)
   state_version : int Atomic.t;
       (** bumped on every out-of-band state mutation (rule change,
-          algorithm switch, incremental-aggregate enablement) — anything
-          that rewrites stored relations outside per-tuple-tracked batch
-          maintenance.  The snapshot publisher compares this across
+          algorithm switch) — anything that rewrites stored relations
+          outside per-tuple-tracked batch maintenance.  The snapshot publisher compares this across
           groups to detect that its incremental shadow is stale. *)
 }
 
@@ -249,16 +247,9 @@ let apply_group ?hooks ?track (t : t) (batches : Changes.t list) :
   results
 
 (** Wrap an already-materialized database (e.g. one loaded from a
-    snapshot) without re-evaluating anything.  The incremental-aggregates
-    flag is inferred from the registered indexes. *)
+    snapshot) without re-evaluating anything. *)
 let of_database ?(algorithm = Auto) (db : Database.t) : t =
-  {
-    db;
-    algorithm;
-    incremental_aggregates = Database.agg_signatures db <> [];
-    store = None;
-    state_version = Atomic.make 0;
-  }
+  { db; algorithm; store = None; state_version = Atomic.make 0 }
 
 (** Open an existing durable store: load the snapshot (no re-evaluation),
     replay the surviving log tail through the normal maintenance path,
@@ -306,15 +297,7 @@ let create ?(semantics = Database.Set_semantics) ?(algorithm = Auto)
     let db = Database.create ~semantics program in
     List.iter (fun v -> Database.mark_distinct db v) distinct;
     List.iter (fun (pred, tuples) -> Database.load db pred tuples) facts;
-    let t =
-      {
-        db;
-        algorithm;
-        incremental_aggregates = false;
-        store = None;
-        state_version = Atomic.make 0;
-      }
-    in
+    let t = { db; algorithm; store = None; state_version = Atomic.make 0 } in
     materialize (resolve t) db;
     (match durable with Some dir -> make_durable t ~dir | None -> ());
     t
@@ -353,7 +336,7 @@ let close_store (t : t) : unit =
     Ivm_store.Store.close s;
     t.store <- None
 
-(* Program and index changes are not WAL-logged; durable managers fold
+(* Program and algorithm changes are not WAL-logged; durable managers fold
    them straight into a fresh snapshot.  Every such change also rewrites
    stored state outside per-tuple-tracked maintenance, so the state
    version is bumped here — the snapshot publisher watches it. *)
@@ -361,10 +344,9 @@ let resnapshot (t : t) : unit =
   Atomic.incr t.state_version;
   match t.store with Some s -> Ivm_store.Store.compact s t.db | None -> ()
 
-(** Out-of-band mutation counter (rule changes, algorithm switches,
-    aggregate enablement).  Monotonic; a change between two reads means
-    stored relations may have been rewritten outside tracked batch
-    maintenance. *)
+(** Out-of-band mutation counter (rule changes, algorithm switches).
+    Monotonic; a change between two reads means stored relations may have
+    been rewritten outside tracked batch maintenance. *)
 let state_version (t : t) : int = Atomic.get t.state_version
 
 let insert t pred tuples =
@@ -383,29 +365,6 @@ let maintainer t : Rule_changes.maintainer =
   ignore
     (Delta.maintain db (Changes.normalize_base db changes)
        (producer (resolve_in t.algorithm db)))
-
-let register_agg_indexes (t : t) : unit =
-  List.iter
-    (fun rule ->
-      List.iter
-        (fun lit ->
-          match lit with
-          | Ast.Lagg agg ->
-            ignore
-              (Database.register_agg_index t.db
-                 (Ivm_eval.Compile.compile_agg_spec agg))
-          | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
-        rule.Ast.body)
-    (Program.rules (Database.program t.db))
-
-(** Opt every GROUPBY subgoal of the program into persistent incremental
-    aggregation ([DAJ91] accumulators; see {!Ivm_eval.Agg_index}):
-    subsequent maintenance computes aggregate deltas from running group
-    states instead of re-scanning touched groups. *)
-let enable_incremental_aggregates (t : t) : unit =
-  t.incremental_aggregates <- true;
-  register_agg_indexes t;
-  resnapshot t
 
 (* After a rule change the stored supports may cite a rule that no longer
    exists (or miss derivations through a new one): drop them all and
@@ -437,8 +396,6 @@ let add_rule (t : t) (rule : Ast.rule) : unit =
   t.db <-
     Ivm_prov.Prov.with_suspended (fun () ->
         Rule_changes.add_rule t.db ~maintain:(maintainer t) rule);
-  (* rebuilding the program produced a fresh database: re-register *)
-  if t.incremental_aggregates then register_agg_indexes t;
   rederive_if_counts_went_live t ~prev;
   refresh_provenance t ~reason:"rule-change";
   resnapshot t
@@ -452,7 +409,6 @@ let remove_rule (t : t) (rule : Ast.rule) : unit =
   t.db <-
     Ivm_prov.Prov.with_suspended (fun () ->
         Rule_changes.remove_rule t.db ~maintain:(maintainer t) rule);
-  if t.incremental_aggregates then register_agg_indexes t;
   rederive_if_counts_went_live t ~prev;
   refresh_provenance t ~reason:"rule-change";
   resnapshot t
@@ -483,7 +439,6 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
     t.algorithm <- algorithm;
     if counted_algorithm target && target <> prev then begin
       Ivm_prov.Prov.with_suspended (fun () -> materialize target t.db);
-      if t.incremental_aggregates then register_agg_indexes t;
       refresh_provenance t ~reason:"algorithm-switch"
     end;
     resnapshot t

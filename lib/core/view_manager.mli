@@ -125,8 +125,8 @@ val apply_group :
 
 (** Out-of-band mutation counter: bumped whenever stored relations may
     have been rewritten outside tracked batch maintenance (rule
-    add/remove, algorithm switch, incremental-aggregate enablement).
-    Monotonic; the snapshot publisher compares it across groups. *)
+    add/remove, algorithm switch).  Monotonic; the snapshot publisher
+    compares it across groups. *)
 val state_version : t -> int
 
 (** {1 Durability}
@@ -154,8 +154,8 @@ val open_durable : ?algorithm:algorithm -> string -> t * Ivm_store.Store.recover
 val make_durable : t -> dir:string -> unit
 
 (** Fold the log into a fresh snapshot of the current state and reset it.
-    Rule changes and {!enable_incremental_aggregates} — which are not
-    logged — compact implicitly.
+    Rule changes and algorithm switches — which are not logged — compact
+    implicitly.
     @raise Invalid_argument on a non-durable manager. *)
 val compact : t -> unit
 
@@ -174,12 +174,6 @@ val delete : t -> string -> Tuple.t list -> (string * Relation.t) list
 val update :
   t -> string -> old_tuple:Tuple.t -> new_tuple:Tuple.t ->
   (string * Relation.t) list
-
-(** Opt every GROUPBY subgoal of the program into persistent incremental
-    aggregation ([DAJ91] accumulators, {!Ivm_eval.Agg_index}): subsequent
-    maintenance computes aggregate deltas from running group states
-    instead of re-scanning touched groups. *)
-val enable_incremental_aggregates : t -> unit
 
 (** Add a rule to the program, incrementally maintaining all views
     (Section 7's view redefinition). *)

@@ -85,6 +85,14 @@ let pp_program ppf rules =
     ~pp_sep:(fun ppf () -> Format.fprintf ppf "@.")
     pp_rule ppf rules
 
-let rule_to_string r = Format.asprintf "%a" pp_rule r
+(* One line at any length: the text names its rule in attribution rows,
+   [ivm_rule_*] metric labels, provenance supports and trace commands. *)
+let rule_to_string r =
+  let buf = Buffer.create 64 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.pp_set_margin ppf max_int;
+  Format.fprintf ppf "%a%!" pp_rule r;
+  Buffer.contents buf
+
 let literal_to_string l = Format.asprintf "%a" pp_literal l
 let atom_to_string a = Format.asprintf "%a" pp_atom a

@@ -12,6 +12,9 @@ val pp_literal : Format.formatter -> literal -> unit
 val pp_rule : Format.formatter -> rule -> unit
 val pp_statement : Format.formatter -> statement -> unit
 val pp_program : Format.formatter -> rule list -> unit
+
+(** The rule on one line, whatever its length. *)
 val rule_to_string : rule -> string
+
 val literal_to_string : literal -> string
 val atom_to_string : atom -> string

@@ -5,9 +5,10 @@
     relation (cost: the group's size).  This index instead keeps one
     {!Agg.state} per group — running sums for COUNT/SUM/AVG, a value
     multiset for MIN/MAX, per [DAJ91] — so a touched group costs
-    [O(|Δ| log)] regardless of its size.  The database registers indexes
-    per GROUPBY spec; maintenance algorithms consult them for [Δ(T)] and
-    refresh them when source deltas commit.  Benched as the E8 ablation. *)
+    [O(|Δ| log)] regardless of its size.  The database builds one per
+    GROUPBY spec on first use; every maintenance algorithm takes [Δ(T)]
+    from it, and the commit folds source deltas into it.  Bench E8 times
+    it against {!Grouping.delta}. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple

@@ -23,7 +23,7 @@ type t = {
   compiled : (Ivm_datalog.Ast.rule, Compile.t) Hashtbl.t;
   agg_indexes : (string, Agg_index.t) Hashtbl.t;
       (** persistent incremental aggregate indexes, keyed by GROUPBY-spec
-          signature (opt-in, see {!register_agg_index}) *)
+          signature, built on first use (see {!agg_index}) *)
   distinct : (string, unit) Hashtbl.t;
       (** views with per-view set semantics inside a duplicate-semantics
           database — SQL's DISTINCT, §5.1 of the paper *)
@@ -93,24 +93,15 @@ let compile ?text t rule =
     Hashtbl.add t.compiled rule c;
     c
 
-(** Insert base facts, one derivation each.  Under set semantics duplicate
-    loads are idempotent. *)
-let load t name tuples =
-  let r = relation t name in
-  List.iter
-    (fun tup ->
-      match t.semantics with
-      | Duplicate_semantics -> Relation.add r tup 1
-      | Set_semantics -> if not (Relation.mem r tup) then Relation.add r tup 1)
-    tuples
-
 (* ---------------- aggregate indexes ---------------- *)
 
-(** Opt one GROUPBY spec into persistent incremental aggregation: builds
-    the per-group accumulator index from the current source relation.
-    Maintenance algorithms then compute its [Δ(T)] in [O(|Δ| log)] and
-    refresh it on commit. *)
-let register_agg_index t (spec : Compile.agg_spec) : Agg_index.t =
+(** The [DAJ91] accumulator index of a GROUPBY spec, built from the
+    current source relation the first time it is asked for — like a
+    relation's secondary indexes, on demand.  {!refresh_agg_indexes}
+    keeps it current at the maintenance commit; every write outside that
+    commit ({!load}, {!set_relation}) drops the indexes sourced from the
+    written predicate, and the next request rebuilds them. *)
+let agg_index t (spec : Compile.agg_spec) : Agg_index.t =
   match Hashtbl.find_opt t.agg_indexes spec.Compile.gsignature with
   | Some idx -> idx
   | None ->
@@ -119,16 +110,7 @@ let register_agg_index t (spec : Compile.agg_spec) : Agg_index.t =
     Hashtbl.replace t.agg_indexes spec.Compile.gsignature idx;
     idx
 
-let agg_index t (spec : Compile.agg_spec) =
-  Hashtbl.find_opt t.agg_indexes spec.Compile.gsignature
-
-(** Signatures of every registered aggregate index, sorted — the snapshot
-    layer persists these so reload can re-register the same specs. *)
-let agg_signatures t =
-  Hashtbl.fold (fun sig_ _ acc -> sig_ :: acc) t.agg_indexes []
-  |> List.sort String.compare
-
-(** Fold committed source deltas into every registered index.  Call after
+(** Fold committed source deltas into every built index.  Call after
     the stored relations reflect the deltas. *)
 let refresh_agg_indexes t (applied : (string * Relation.t) list) =
   Hashtbl.iter
@@ -140,7 +122,7 @@ let refresh_agg_indexes t (applied : (string * Relation.t) list) =
     t.agg_indexes
 
 (** Drop indexes whose source is [pred] — its relation changed outside
-    delta-tracked maintenance. *)
+    the maintenance commit. *)
 let invalidate_agg_indexes t pred =
   let stale =
     Hashtbl.fold
@@ -150,7 +132,17 @@ let invalidate_agg_indexes t pred =
   in
   List.iter (Hashtbl.remove t.agg_indexes) stale
 
-let clear_agg_indexes t = Hashtbl.reset t.agg_indexes
+(** Insert base facts, one derivation each.  Under set semantics duplicate
+    loads are idempotent.  Drops aggregate indexes sourced from [name]. *)
+let load t name tuples =
+  let r = relation t name in
+  invalidate_agg_indexes t name;
+  List.iter
+    (fun tup ->
+      match t.semantics with
+      | Duplicate_semantics -> Relation.add r tup 1
+      | Set_semantics -> if not (Relation.mem r tup) then Relation.add r tup 1)
+    tuples
 
 (** Overwrite one relation's contents (used when committing maintenance
     results and by the recomputation baseline).  Invalidates aggregate
@@ -164,16 +156,19 @@ let set_relation t name rel =
 (** Fresh database with the same program/semantics and deep-copied
     relations — lets tests run two algorithms from the same state.
     [~with_indexes:false] skips rebuilding secondary indexes on the
-    copies (the serve publish fast path; readers rebuild on demand). *)
+    copies and carries no aggregate index: the serve shadows and the
+    recomputation scratch copy are never maintained through a commit, so
+    they never use one (readers rebuild relation indexes on demand). *)
 let copy ?(with_indexes = true) t =
   let rels = Hashtbl.create (Hashtbl.length t.rels) in
   Hashtbl.iter
     (fun name r -> Hashtbl.replace rels name (Relation.copy ~with_indexes r))
     t.rels;
   let agg_indexes = Hashtbl.create (Hashtbl.length t.agg_indexes) in
-  Hashtbl.iter
-    (fun sig_ idx -> Hashtbl.replace agg_indexes sig_ (Agg_index.copy idx))
-    t.agg_indexes;
+  if with_indexes then
+    Hashtbl.iter
+      (fun sig_ idx -> Hashtbl.replace agg_indexes sig_ (Agg_index.copy idx))
+      t.agg_indexes;
   { t with rels; agg_indexes; distinct = Hashtbl.copy t.distinct }
 
 (** Canonical content digest: MD5 over the semantics tag plus, for every

@@ -56,44 +56,40 @@ val view : t -> string -> Relation_view.t
 val compile : ?text:string -> t -> Ivm_datalog.Ast.rule -> Compile.t
 
 (** Insert base facts, one derivation each; idempotent per tuple under set
-    semantics. *)
+    semantics.  Drops aggregate indexes sourced from the predicate. *)
 val load : t -> string -> Tuple.t list -> unit
 
 (** Overwrite one relation (commits of maintenance results, the
-    recomputation baseline).  Invalidates aggregate indexes sourced from
-    it.  @raise Invalid_argument on arity mismatch. *)
+    recomputation baseline).  Drops aggregate indexes sourced from it.
+    @raise Invalid_argument on arity mismatch. *)
 val set_relation : t -> string -> Relation.t -> unit
 
 (** {2 Persistent incremental aggregate indexes}
 
-    Opt-in [DAJ91]-style per-group accumulators (see {!Agg_index}):
-    registered GROUPBY specs get their [Δ(T)] from running group states in
-    [O(|Δ| log)] instead of recomputing touched groups from the source. *)
+    [DAJ91]-style per-group accumulators (see {!Agg_index}): every GROUPBY
+    spec gets its [Δ(T)] from running group states in [O(|Δ| log)]
+    instead of recomputing touched groups from the source.  Like relation
+    indexes they are built on demand and kept current at the one commit
+    point; any other write to a source drops them. *)
 
-(** Build (or return) the index for a spec from the current source
-    relation. *)
-val register_agg_index : t -> Compile.agg_spec -> Agg_index.t
-
-val agg_index : t -> Compile.agg_spec -> Agg_index.t option
-
-(** Signatures of every registered aggregate index, sorted (persisted by
-    the snapshot layer so reload re-registers the same specs). *)
-val agg_signatures : t -> string list
+(** The spec's index, built from the current source relation on first
+    use. *)
+val agg_index : t -> Compile.agg_spec -> Agg_index.t
 
 (** Fold committed per-predicate deltas (in the propagated regime: count
     deltas under duplicates, ±1 set transitions under sets) into every
-    registered index. *)
+    built index. *)
 val refresh_agg_indexes : t -> (string * Relation.t) list -> unit
 
-(** Drop indexes sourced from [pred]. *)
+(** Drop indexes sourced from [pred] (its relation was written outside
+    the maintenance commit). *)
 val invalidate_agg_indexes : t -> string -> unit
 
-val clear_agg_indexes : t -> unit
-
 (** Deep copy: same program and semantics, copied relations.  Secondary
-    indexes are rebuilt on the copies by default; [~with_indexes:false]
-    skips that (the serve publish fast path — readers rebuild on demand
-    under the relation build lock). *)
+    indexes and aggregate indexes are copied by default;
+    [~with_indexes:false] skips both (the serve publish shadows and the
+    recomputation scratch copy, which no commit maintains — readers
+    rebuild relation indexes on demand under the relation build lock). *)
 val copy : ?with_indexes:bool -> t -> t
 
 (** Canonical content digest (hex MD5) over every relation's sorted

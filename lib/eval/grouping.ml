@@ -7,7 +7,9 @@
     in [Δ(U)], recomputing each touched group's aggregate from the old and
     new versions of [U] (index-assisted, so a touched group costs its own
     size, not [|U|]), and emits [(T_y old, −1)] and [(T_y new, +1)] for the
-    groups whose tuple changed. *)
+    groups whose tuple changed.  Maintenance reads [Δ(T)] from
+    {!Agg_index} instead; {!delta} is the reference it is tested
+    against. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple

@@ -6,7 +6,10 @@
     given [Δ(U)] it touches only the groups occurring in [Δ(U)],
     recomputing each touched group's aggregate from the old and new [U]
     (index-assisted, so a touched group costs its own size, not [|U|]),
-    and emits [(T_y old, −1)] / [(T_y new, +1)] for changed groups. *)
+    and emits [(T_y old, −1)] / [(T_y new, +1)] for changed groups.
+    Maintenance takes [Δ(T)] from the accumulators of {!Agg_index}
+    instead; {!delta} is the paper's reference that tests and bench E8
+    compare them against. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple

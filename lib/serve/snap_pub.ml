@@ -31,11 +31,13 @@
    it), and the writer never blocks on a client (the PR 4/PR 8
    discipline).  Fallback also covers every commit the delta feed
    cannot describe: rule changes / algorithm switches
-   ([View_manager.state_version]), a replaced database identity, and
-   databases with registered aggregate indexes (their accumulator state
-   is not tuple-count-patchable).  Batches commit through one entry
-   point under every algorithm, recomputation included, so a tracked
-   group is always describable. *)
+   ([View_manager.state_version]) and a replaced database identity.
+   Batches commit through one entry point under every algorithm,
+   recomputation included, so a tracked group is always describable.
+   Shadows are [Database.copy ~with_indexes:false] copies, which carry no
+   aggregate index: readers evaluate GROUPBY subgoals from the stored
+   source, so patching tuple counts is the whole publish, GROUPBY views
+   included. *)
 
 module Vm = Ivm.View_manager
 module Changes = Ivm.Changes
@@ -238,9 +240,7 @@ let publish ?track (t : t) : mode =
   let tracked =
     match track with
     | Some col
-      when live == t.last_db
-           && version = t.last_state_version
-           && Database.agg_signatures live = [] ->
+      when live == t.last_db && version = t.last_state_version ->
       Some (Changes.collected col)
     | _ -> None
   in

@@ -1,7 +1,6 @@
 module Wire = Ivm_wire.Wire
 module Crc32 = Ivm_wire.Crc32
 module Relation = Ivm_relation.Relation
-module Ast = Ivm_datalog.Ast
 module Parser = Ivm_datalog.Parser
 module Pretty = Ivm_datalog.Pretty
 module Program = Ivm_datalog.Program
@@ -46,9 +45,10 @@ let encode ~seq (db : Database.t) : string =
   let distinct = Database.distinct_views db in
   Wire.put_u32 buf (List.length distinct);
   List.iter (Wire.put_string buf) distinct;
-  let agg_sigs = Database.agg_signatures db in
-  Wire.put_u32 buf (List.length agg_sigs);
-  List.iter (Wire.put_string buf) agg_sigs;
+  (* the aggregate-index signature list: kept in the layout so stores
+     that list signatures still open, always empty because aggregate
+     indexes are built on demand *)
+  Wire.put_u32 buf 0;
   let preds = stored_preds program in
   Wire.put_u32 buf (List.length preds);
   List.iter
@@ -93,7 +93,11 @@ let decode (s : string) : Database.t * int =
           (name, arity))
     in
     let distinct = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
-    let agg_sigs = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
+    (* signatures a store may list here are skipped: the first
+       maintained batch builds each aggregate index from its source *)
+    for _ = 1 to Wire.get_u32 r do
+      ignore (Wire.get_string r)
+    done;
     let rels =
       List.init (Wire.get_u32 r) (fun _ ->
           let name = Wire.get_string r in
@@ -106,21 +110,6 @@ let decode (s : string) : Database.t * int =
     let db = Database.create ~semantics program in
     List.iter (fun (name, rel) -> Database.set_relation db name rel) rels;
     List.iter (fun v -> Database.mark_distinct db v) distinct;
-    (* Rebuild the registered aggregate indexes from the loaded source
-       relations: the accumulator state is a pure function of the source
-       multiset, so this reproduces the pre-crash index exactly. *)
-    List.iter
-      (fun (rule : Ast.rule) ->
-        List.iter
-          (fun lit ->
-            match lit with
-            | Ast.Lagg agg ->
-              let spec = Ivm_eval.Compile.compile_agg_spec agg in
-              if List.mem spec.Ivm_eval.Compile.gsignature agg_sigs then
-                ignore (Database.register_agg_index db spec)
-            | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
-          rule.Ast.body)
-      (Program.rules program);
     (db, seq)
   with
   | Corrupt _ as e -> raise e

@@ -3,10 +3,9 @@
     A snapshot captures everything needed to reopen a
     [Ivm_eval.Database.t] with {b zero re-evaluation}: the program rules,
     the declared base relations, the semantics flag, the DISTINCT view
-    set, {e every} stored relation — base and derived — with its signed
-    derivation counts, and the signatures of the registered incremental
-    aggregate indexes (their accumulator states are rebuilt
-    deterministically from the loaded source relations).
+    set, and {e every} stored relation — base and derived — with its
+    signed derivation counts.  Aggregate indexes are not stored: the
+    first maintained batch rebuilds each from its loaded source.
 
     The byte format (magic ["IVMSNAP1"], version [u32], payload, trailing
     CRC-32 over everything before it) is specified field-by-field in

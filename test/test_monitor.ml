@@ -439,6 +439,33 @@ let test_dred_rows_name_program_rules () =
     Alcotest.(check (list string)) "no pseudo-predicate label" []
       (List.filter (fun l -> String.contains l '$') (rule_labels ()))
 
+(** A rule longer than a pretty-printing margin still names itself on one
+    line: the [explain last] row, its [ivm_rule_*] label and the row's
+    text carry no line break. *)
+let test_long_rule_text_one_line () =
+  let text =
+    "longish_view_name(X, Y) :- link(X, Z), link(Z, W), link(W, V), \
+     link(V, Y), X != Y."
+  in
+  let vm =
+    Vm.of_source ~algorithm:Vm.Counting (text ^ "\nlink(a,b). link(b,c). link(c,d).")
+  in
+  ignore (Vm.apply vm (Changes.insertions (Vm.program vm) "link" [ t2 "d" "e" ]));
+  match Attribution.last () with
+  | None -> Alcotest.fail "no batch recorded"
+  | Some b ->
+    Alcotest.(check (list string)) "the row names the rule on one line" [ text ]
+      (List.map (fun r -> r.Attribution.rule) b.Attribution.rows);
+    let table = Format.asprintf "%a" (fun ppf -> Attribution.pp_batch ppf) b in
+    Alcotest.(check bool) "explain last prints the row on one line" true
+      (List.exists
+         (fun line -> contains ~needle:text line)
+         (String.split_on_char '\n' table));
+    Alcotest.(check bool) "the label is the one-line text" true
+      (List.mem text (rule_labels ()));
+    Alcotest.(check (list string)) "no label holds a newline" []
+      (List.filter (fun l -> String.contains l '\n') (rule_labels ()))
+
 (* A graph big enough that a batch's seed deltas split into many chunks. *)
 let chain_src =
   let b = Buffer.create 4096 in
@@ -597,6 +624,8 @@ let suite =
       test_attribution_json_and_pp;
     Alcotest.test_case "attribution: ad-hoc queries record nothing" `Quick
       test_query_not_attributed;
+    Alcotest.test_case "attribution: long rule text stays on one line" `Quick
+      test_long_rule_text_one_line;
     Alcotest.test_case "attribution: DRed rows and labels name program rules"
       `Quick test_dred_rows_name_program_rules;
     Alcotest.test_case "trace: rule spans exact at 4 domains" `Quick

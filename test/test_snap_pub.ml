@@ -256,6 +256,36 @@ let test_recompute_publishes_incrementally () =
   group [ (2, 3, -1); (3, 4, 1) ];
   Alcotest.(check int) "no full copies" 0 (Snap_pub.stats pub).Snap_pub.full_copies
 
+(* ---------------- GROUPBY views publish by patching ---------------- *)
+
+(** A MIN aggregate maintained through its accumulator index still
+    publishes by patching tuple counts: the shadows carry no aggregate
+    index, so a tracked group is fully described by its net changes. *)
+let test_groupby_publishes_incrementally () =
+  let vm = Vm.of_source ~algorithm:Vm.Counting Ivm_workload.Programs.min_cost_hop in
+  let pub = Snap_pub.create ~readers:1 vm in
+  let group entries =
+    let changes =
+      Changes.of_list (Vm.program vm)
+        [ ("link", List.map (fun (x, y, w, c) -> (Tuple.of_ints [ x; y; w ], c)) entries) ]
+    in
+    let track = Changes.collector () in
+    (match Vm.apply_group ~track vm [ changes ] with
+    | [ Ok _ ] -> ()
+    | _ -> Alcotest.fail "apply_group failed");
+    Alcotest.(check string) "tracked group publishes by patching" "incremental"
+      (Snap_pub.mode_name (Snap_pub.publish ~track pub));
+    Alcotest.(check string) "published equals live"
+      (Database.canonical_digest (Vm.database vm))
+      (Database.canonical_digest (Snap_pub.current pub))
+  in
+  group [ (1, 2, 5, 1); (2, 3, 4, 1); (1, 4, 1, 1); (4, 3, 1, 1) ];
+  group [ (4, 3, 1, -1); (4, 3, 7, 1) ];
+  group [ (1, 4, 1, -1) ];
+  Alcotest.(check bool) "the MIN view is populated" true
+    (Relation.cardinal (Vm.relation vm "min_cost_hop") > 0);
+  Alcotest.(check int) "no full copies" 0 (Snap_pub.stats pub).Snap_pub.full_copies
+
 let suite =
   [
     Alcotest.test_case "Relation.patch guards negative counts" `Quick
@@ -268,4 +298,6 @@ let suite =
       `Quick test_stalled_reader_fallback;
     Alcotest.test_case "recompute publishes incrementally" `Quick
       test_recompute_publishes_incrementally;
+    Alcotest.test_case "GROUPBY view publishes incrementally" `Quick
+      test_groupby_publishes_incrementally;
   ]

@@ -171,7 +171,7 @@ let suite =
       {
         derivations = 1072;
         probes = 656;
-        scanned = 2065;
+        scanned = 1549;
         overdeleted = 0;
         rederive_attempts = 0;
         rederived = 0;
@@ -182,7 +182,7 @@ let suite =
       {
         derivations = 1370;
         probes = 1344;
-        scanned = 2917;
+        scanned = 2401;
         overdeleted = 0;
         rederive_attempts = 0;
         rederived = 0;
@@ -193,7 +193,7 @@ let suite =
       {
         derivations = 1429;
         probes = 4049;
-        scanned = 5874;
+        scanned = 5078;
         overdeleted = 596;
         rederive_attempts = 164;
         rederived = 148;
@@ -204,7 +204,7 @@ let suite =
       {
         derivations = 1120;
         probes = 1542;
-        scanned = 2234;
+        scanned = 1833;
         overdeleted = 0;
         rederive_attempts = 0;
         rederived = 0;
